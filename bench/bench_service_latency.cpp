@@ -94,7 +94,7 @@ int main() {
     return 1;
   }
 
-  // Warm-up: fill the context pool and the artifact-relevant caches so
+  // Warm-up: fill the page pool and the artifact-relevant caches so
   // the probe measures steady state.
   {
     LoadGenConfig Warm = baseLoad(Server.port(), Scale, 8);

@@ -1,13 +1,13 @@
 //===----------------------------------------------------------------------===//
 // Compile-service throughput benchmark: jobs/sec through the persistent
-// worker pool, comparing the service's warm path (recycled contexts +
-// shared page pool) against cold per-job contexts — the measurement
-// behind the "compiler as a resident service" direction (the paper's §9
-// parallel-compilation future work meets a compile-server deployment).
+// worker pool (a fresh context per job over the shared page pool) — the
+// measurement behind the "compiler as a resident service" direction (the
+// paper's §9 parallel-compilation future work meets a compile-server
+// deployment).
 //
 // Protocol: MPC_BENCH_REPS repetitions (default 5), mean ±CV, with the
-// service.* counters (contexts reused, pages shared, worker utilization)
-// from the last repetition. MPC_BENCH_THREADS overrides the worker
+// service.* counters (pages shared and mapped, worker utilization) from
+// the last repetition. MPC_BENCH_THREADS overrides the worker
 // count (default: hardware concurrency).
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +46,6 @@ std::vector<std::vector<SourceInput>> makeJobSources(unsigned NumJobs,
 
 struct Outcome {
   SampleStats JobsPerSec;
-  uint64_t ContextsReused = 0;
   uint64_t PagesShared = 0;
   uint64_t PagesMapped = 0;
   uint64_t RealAllocs = 0;
@@ -57,17 +56,15 @@ struct Outcome {
 };
 
 Outcome measure(const std::vector<std::vector<SourceInput>> &JobSources,
-                unsigned Reps, bool Warm) {
+                unsigned Reps) {
   std::vector<double> Rates;
   Outcome Out;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
     ServiceConfig Cfg;
     Cfg.Threads = benchThreads();
-    Cfg.WarmContexts = Warm;
-    Cfg.SharePages = Warm;
-    // This bench measures the warm-CONTEXT path; with the artifact cache
-    // on, repetitions would replay instead of recompiling (that effect
-    // has its own benchmark, bench_cache_warm_edit).
+    // With the artifact cache on, repetitions would replay instead of
+    // recompiling (that effect has its own benchmark,
+    // bench_cache_warm_edit).
     Cfg.Cache.Enabled = false;
     CompileService Service(Cfg);
     Timer T;
@@ -91,7 +88,6 @@ Outcome measure(const std::vector<std::vector<SourceInput>> &JobSources,
       Out.CompileSec += R.Out.Timings.totalSec();
     }
     Out.QueueDepthPeak = Service.stats().get("service.queueDepthPeak");
-    Out.ContextsReused = Service.stats().get("service.contextsReused");
     Out.PagesShared = Service.stats().get("service.pagesShared");
     Out.PagesMapped = Service.stats().get("service.pagesMapped");
     Out.RealAllocs = Service.stats().get("service.realAllocs");
@@ -104,7 +100,7 @@ Outcome measure(const std::vector<std::vector<SourceInput>> &JobSources,
 } // namespace
 
 int main() {
-  printHeader("Compile-service throughput — warm contexts + shared pages",
+  printHeader("Compile-service throughput — cold contexts, shared pages",
               "repo-specific service benchmark (no paper figure)");
   double Scale = benchScale(0.05);
   unsigned Reps = benchReps();
@@ -114,58 +110,36 @@ int main() {
 
   auto JobSources = makeJobSources(NumJobs, Scale);
   // Warm-up so page-cache and allocator state spread evenly.
-  measure(JobSources, 1, /*Warm=*/true);
+  measure(JobSources, 1);
 
-  Outcome Cold = measure(JobSources, Reps, /*Warm=*/false);
-  Outcome Warm = measure(JobSources, Reps, /*Warm=*/true);
+  Outcome R = measure(JobSources, Reps);
 
-  std::printf("\n  %-28s %10.1f jobs/s ±%.1f%%\n",
-              "cold contexts, private pages", Cold.JobsPerSec.Mean,
-              Cold.JobsPerSec.CvPct);
-  std::printf("  %-28s %10.1f jobs/s ±%.1f%%\n",
-              "warm contexts, shared pages", Warm.JobsPerSec.Mean,
-              Warm.JobsPerSec.CvPct);
-  std::printf("  warm/cold speedup: %+.1f%%\n",
-              100.0 * (Warm.JobsPerSec.Mean / Cold.JobsPerSec.Mean - 1.0));
-  std::printf("  warm run: contextsReused=%llu pagesShared=%llu "
+  std::printf("\n  %-28s %10.1f jobs/s ±%.1f%%\n", "service throughput",
+              R.JobsPerSec.Mean, R.JobsPerSec.CvPct);
+  std::printf("  pagesShared=%llu pagesMapped=%llu realAllocs=%llu "
               "workerUtilization=%llu%%\n",
-              (unsigned long long)Warm.ContextsReused,
-              (unsigned long long)Warm.PagesShared,
-              (unsigned long long)Warm.Utilization);
-  // The structural win: pages mapped from the system per drain (the
-  // shared pool turns fresh mappings into reuses).
-  std::printf("  pages mapped/drain: cold %llu -> warm %llu; "
-              "real allocator calls: cold %llu -> warm %llu\n",
-              (unsigned long long)Cold.PagesMapped,
-              (unsigned long long)Warm.PagesMapped,
-              (unsigned long long)Cold.RealAllocs,
-              (unsigned long long)Warm.RealAllocs);
+              (unsigned long long)R.PagesShared,
+              (unsigned long long)R.PagesMapped,
+              (unsigned long long)R.RealAllocs,
+              (unsigned long long)R.Utilization);
 
   // Queueing behavior: how long jobs sat in the admission queue versus
   // actually compiling, and how deep the queue got. The whole job set is
-  // enqueued up-front, so queue wait dominates until the pool drains —
-  // warm contexts shrink the compile side and with it the wait behind it.
-  std::printf("  queue wait vs compile (summed): cold %.1f ms / %.1f ms, "
-              "warm %.1f ms / %.1f ms; queue depth peak: %llu\n",
-              1e3 * Cold.QueueWaitSec, 1e3 * Cold.CompileSec,
-              1e3 * Warm.QueueWaitSec, 1e3 * Warm.CompileSec,
-              (unsigned long long)Warm.QueueDepthPeak);
+  // enqueued up-front, so queue wait dominates until the pool drains.
+  std::printf("  queue wait vs compile (summed): %.1f ms / %.1f ms; "
+              "queue depth peak: %llu\n",
+              1e3 * R.QueueWaitSec, 1e3 * R.CompileSec,
+              (unsigned long long)R.QueueDepthPeak);
 
-  jsonMetric("service_throughput", "cold_jobs_per_sec", Cold.JobsPerSec.Mean);
-  jsonMetric("service_throughput", "warm_jobs_per_sec", Warm.JobsPerSec.Mean);
-  jsonMetric("service_throughput", "warm_cv_pct", Warm.JobsPerSec.CvPct);
-  jsonMetric("service_throughput", "contexts_reused",
-             double(Warm.ContextsReused));
-  jsonMetric("service_throughput", "pages_shared", double(Warm.PagesShared));
-  jsonMetric("service_throughput", "cold_pages_mapped",
-             double(Cold.PagesMapped));
-  jsonMetric("service_throughput", "warm_pages_mapped",
-             double(Warm.PagesMapped));
+  jsonMetric("service_throughput", "jobs_per_sec", R.JobsPerSec.Mean);
+  jsonMetric("service_throughput", "cv_pct", R.JobsPerSec.CvPct);
+  jsonMetric("service_throughput", "pages_shared", double(R.PagesShared));
+  jsonMetric("service_throughput", "pages_mapped", double(R.PagesMapped));
   jsonMetric("service_throughput", "worker_utilization_pct",
-             double(Warm.Utilization));
-  jsonMetric("service_throughput", "warm_queue_wait_sec", Warm.QueueWaitSec);
-  jsonMetric("service_throughput", "warm_compile_sec", Warm.CompileSec);
+             double(R.Utilization));
+  jsonMetric("service_throughput", "queue_wait_sec", R.QueueWaitSec);
+  jsonMetric("service_throughput", "compile_sec", R.CompileSec);
   jsonMetric("service_throughput", "queue_depth_peak",
-             double(Warm.QueueDepthPeak));
+             double(R.QueueDepthPeak));
   return 0;
 }

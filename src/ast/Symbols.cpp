@@ -111,23 +111,6 @@ void ClassSymbol::collectAncestors(std::vector<ClassSymbol *> &Out) const {
 
 SymbolTable::SymbolTable(NameTable &Names, TypeContext &Types)
     : Names(Names), Types(Types) {
-  initBuiltins();
-}
-
-void SymbolTable::reset() {
-  Symbols.clear();
-  NextId = 1;
-  FreshCounter = 0;
-  PrimOpIdxByOrdinal.clear();
-  PrimOpKindByOrdinal.clear();
-  NumPrimOpNames = 0;
-  for (auto &Row : PrimOpTable)
-    for (Symbol *&S : Row)
-      S = nullptr;
-  initBuiltins();
-}
-
-void SymbolTable::initBuiltins() {
   Std.Init = Names.intern("<init>");
   Std.Apply = Names.intern("apply");
   Std.Main = Names.intern("main");

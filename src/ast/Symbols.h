@@ -242,13 +242,6 @@ public:
   SymbolTable(const SymbolTable &) = delete;
   SymbolTable &operator=(const SymbolTable &) = delete;
 
-  /// Warm-reuse reset: drops every created symbol, rewinds the id and
-  /// fresh-name counters, and rebuilds the builtin world. Must run AFTER
-  /// the name table and type context have been reset (the builtins are
-  /// re-interned from scratch, reproducing the cold-start intern order —
-  /// and therefore the cold-start name ordinals and symbol ids).
-  void reset();
-
   /// Creates a fresh term symbol.
   Symbol *makeTerm(Name N, Symbol *Owner, uint64_t Flags,
                    const Type *Info = nullptr);
@@ -322,9 +315,6 @@ public:
 private:
   ClassSymbol *makeBuiltinClass(const char *ClsName, ClassSymbol *Super,
                                 uint64_t Flags = 0);
-  /// Interns the standard names and creates the builtin world; shared by
-  /// the constructor and reset().
-  void initBuiltins();
 
   NameTable &Names;
   TypeContext &Types;

@@ -842,17 +842,6 @@ public:
   /// original by reference (no intermediate list copy).
   TreePtr withType(Tree *T, const Type *NewTy);
 
-  /// Warm-reuse reset: rewinds the creation/copier counters so a recycled
-  /// context reports the same statistics as a cold one. The tree storage
-  /// itself lives in the ManagedHeap, which is reset separately.
-  void resetCounters() {
-    NumCreated = 0;
-    NumReused = 0;
-    NumRebuilt = 0;
-    NumTypeReused = 0;
-    NumTypeShared = 0;
-  }
-
   /// Statistics: how often withNewChildren reused vs. rebuilt.
   uint64_t reuseCount() const { return NumReused; }
   uint64_t rebuildCount() const { return NumRebuilt; }

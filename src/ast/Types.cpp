@@ -160,16 +160,6 @@ TypeContext::~TypeContext() {
   delete static_cast<const ErrorType *>(ErrorTy);
 }
 
-void TypeContext::reset() {
-  for (const Type *T : Owned)
-    T->~Type();
-  Owned.clear();
-  Slots.assign(Slots.size(), Slot());
-  KeyPool.clear();
-  KeyScratch.clear();
-  TypeArena.reset();
-}
-
 static uint64_t hashKey(uint32_t Tag, const uint64_t *Words,
                         size_t NumWords) {
   uint64_t H = 0x9e3779b97f4a7c15ULL ^ Tag;

@@ -266,8 +266,7 @@ public:
   const Type *doubleType() const { return Prims[size_t(PrimKind::Double)]; }
   const Type *primType(PrimKind P) const { return Prims[size_t(P)]; }
 
-  /// The poisoned error-type singleton. Like the primitives it survives
-  /// reset(): it carries no references into other tables.
+  /// The poisoned error-type singleton.
   const Type *errorType() const { return ErrorTy; }
 
   const Type *classType(ClassSymbol *Cls,
@@ -299,12 +298,6 @@ public:
 
   /// Number of distinct interned types (for tests / stats).
   size_t internedCount() const { return Owned.size() + NumPrims; }
-
-  /// Empties the interner for warm context reuse: destroys every interned
-  /// type (primitive singletons excepted — they carry no references into
-  /// other tables and stay valid), resets the arena and key pool, and
-  /// keeps table capacity. O(live interned types).
-  void reset();
 
 private:
   // Hash-consing storage: an open-addressed slot table (linear probing,

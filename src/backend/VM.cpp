@@ -219,8 +219,8 @@ public:
     // Resolve the stats-registry slots once: finish() runs after every
     // runMain, and repeated executions (bench loops, warmed services)
     // must not pay a map-of-strings walk per guest run. References into
-    // the registry stay valid for the VM's lifetime (the context is only
-    // reset between jobs, never while a VM is live).
+    // the registry stay valid for the VM's lifetime (the context outlives
+    // the VM).
     StatsRegistry &S = Comp.stats();
     StepsC = &S.counter("backend.vm.steps");
     for (size_t I = 0; I < static_cast<size_t>(LOp::NumLOps); ++I)

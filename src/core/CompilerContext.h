@@ -78,9 +78,8 @@ struct CompilerOptions {
   /// is byte-identical with the slab on or off. Off exists for the
   /// allocator-invariance tests and for baseline comparisons of the
   /// "heap.realAllocs" counter. Takes effect through the
-  /// CompilerContext(Opts) constructor or adoptOptions() right after
-  /// reset() — the backend cannot change while the heap holds
-  /// allocations.
+  /// CompilerContext(Opts) constructor — the backend cannot change while
+  /// the heap holds allocations.
   bool SlabHeap = true;
   /// Run the bytecode verifier over generateCode's output (jump targets,
   /// stack balance, handler well-formedness) and record failures on
@@ -140,51 +139,17 @@ public:
   /// Attaches a cancellation token for the current job (null detaches).
   /// The token is owned by the caller (the batch runner keeps it on its
   /// stack), so whoever sets it must clear it before the context
-  /// escapes — reset() also clears it.
+  /// escapes.
   void setCancelToken(const CancelToken *T) { Cancel = T; }
   const CancelToken *cancelToken() const { return Cancel; }
 
   /// Cooperative cancellation checkpoint: throws DeadlineExceeded when
   /// the attached token (if any) has expired. Stages call this between
   /// units and at phase boundaries — never mid-traversal — so the unwind
-  /// only ever crosses RAII-held trees and the context stays recyclable.
+  /// only ever crosses RAII-held trees.
   void checkpoint() const {
     if (Cancel)
       Cancel->checkpoint();
-  }
-
-  /// Warm-reuse reset (the compile service's ContextPool lifecycle):
-  /// restores the context to the observable state of a freshly
-  /// constructed one in O(live) — live symbols/types are dropped and the
-  /// builtin world is rebuilt, while table capacities, arena slabs, and
-  /// (via the shared PagePool) slab pages are retained for the next job.
-  /// Precondition: no tree allocated from this context is still
-  /// referenced (drop the CompileOutput first); asserted via the heap's
-  /// live-byte accounting. Name ordinals, symbol ids, file ids, and the
-  /// allocation clock all restart exactly as in a cold context, which is
-  /// what makes warm and cold runs byte-identical.
-  void reset() {
-    assert(Heap.stats().LiveBytes == 0 &&
-           "context recycled while trees are still referenced");
-    Diags.reset();
-    Stats.clear();
-    Trees.resetCounters();
-    Trees.setCacheSim(nullptr);
-    Cache = nullptr;
-    Perf = nullptr;
-    Cancel = nullptr;
-    Types.reset();
-    Names.reset();
-    Syms.reset(); // re-interns builtins; must follow Names/Types resets
-    Heap.reset(); // releases every page; re-arms the slab toggle
-    Heap.setSlabEnabled(Opts.SlabHeap);
-  }
-
-  /// Applies a new job's options to a recycled context. Legal only right
-  /// after reset() (the slab toggle requires an empty heap).
-  void adoptOptions(const CompilerOptions &NewOpts) {
-    Opts = NewOpts;
-    Heap.setSlabEnabled(Opts.SlabHeap);
   }
 
 private:

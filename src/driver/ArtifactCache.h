@@ -54,7 +54,7 @@ struct CacheConfig {
 };
 
 /// The replayable slice of a BatchResult — everything except the
-/// context-owned data the service strips before recycling a shell.
+/// context-owned data the service strips before destroying the context.
 struct CachedArtifact {
   CompileTimings Timings;
   std::vector<std::string> PlanErrors;

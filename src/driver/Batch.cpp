@@ -1,10 +1,10 @@
 #include "driver/Batch.h"
 
 #include "ast/TreePrinter.h"
-#include "driver/CompileService.h"
 #include "support/CancelToken.h"
 #include "support/OStream.h"
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -21,9 +21,7 @@ using namespace mpc;
 //
 //   Mixed into the key (affect dumps, diagnostics, or the simulated
 //   HeapStats the cache replays):
-//     FuseMiniphases   fusion changes node lifetimes -> HeapStats
 //     CheckTrees       checker failures surface in output
-//     AlwaysCopy       copier baseline changes allocation clock
 //     IdentitySkip     node reuse changes allocation clock
 //     SubtreePruning   observationally identical, but mixed anyway so the
 //                      pruning ablation never shares entries (conservative)
@@ -35,6 +33,10 @@ using namespace mpc;
 //                      identical today)
 //
 //   Cache-IRRELEVANT (excluded deliberately):
+//     FuseMiniphases   compileProgram overwrites both from the job's
+//     AlwaysCopy       PipelineKind (StandardFused / Legacy), which the
+//                      key already holds; the caller's values never reach
+//                      the pipeline.
 //     SlabHeap         selects the real-storage backend only; the
 //                      simulated stats and all rendered output are
 //                      byte-identical either way (pinned by the
@@ -52,10 +54,8 @@ static_assert(sizeof(CompilerOptions) == 16,
 namespace {
 
 Fingerprint optionsFingerprint(const CompilerOptions &O) {
-  const unsigned char Bits[8] = {
-      static_cast<unsigned char>(O.FuseMiniphases),
+  const unsigned char Bits[6] = {
       static_cast<unsigned char>(O.CheckTrees),
-      static_cast<unsigned char>(O.AlwaysCopy),
       static_cast<unsigned char>(O.IdentitySkip),
       static_cast<unsigned char>(O.SubtreePruning),
       static_cast<unsigned char>(O.DagMemoize),
@@ -92,8 +92,7 @@ BatchResult mpc::runBatchJob(BatchJob Job,
                              std::unique_ptr<CompilerContext> Comp) {
   BatchResult R;
   // The context moves into the result BEFORE the compile runs, so the
-  // firewall below hands it back even when the compile unwinds — the
-  // service decides whether the shell is still recyclable, but it must
+  // firewall below hands it back even when the compile unwinds — it must
   // never be lost to an exception.
   R.Comp = std::move(Comp);
 
@@ -114,8 +113,7 @@ BatchResult mpc::runBatchJob(BatchJob Job,
     R.HadErrors = R.Comp->diags().hasErrors();
   } catch (const DeadlineExceeded &E) {
     // Checkpoints only throw between units / at phase boundaries, where
-    // all trees are RAII-held — the unwind released them, so the context
-    // is clean (LiveBytes == 0) and stays recyclable.
+    // all trees are RAII-held — the unwind released them.
     R.Status = JobStatus::DeadlineExceeded;
     R.HadErrors = true;
     R.DiagText = std::string("error: ") + E.what() + "\n";
@@ -123,8 +121,8 @@ BatchResult mpc::runBatchJob(BatchJob Job,
   } catch (const std::exception &E) {
     // Worker firewall: an arbitrary exception becomes a failed result.
     // Unlike a deadline unwind, the throw site is unknown (it may have
-    // interrupted an allocation mid-charge), so the context counts as
-    // poisoned — the service discards it rather than recycling.
+    // interrupted an allocation mid-charge), so the context is only fit
+    // for destruction.
     R.Status = JobStatus::Faulted;
     R.HadErrors = true;
     R.DiagText = std::string("error: compile job faulted: ") + E.what() + "\n";
@@ -137,10 +135,10 @@ BatchResult mpc::runBatchJob(BatchJob Job,
   }
   R.Comp->setCancelToken(nullptr);
 
-  // Render any diagnostics (not just errors): in the service's
-  // context-recycling mode this snapshot is the only place warnings and
-  // notes survive the shell's reset. On a cancelled/faulted run the
-  // explanatory text above takes their place.
+  // Render any diagnostics (not just errors): the compile service
+  // destroys the context after the job, so this snapshot is the only
+  // place warnings and notes survive there. On a cancelled/faulted run
+  // the explanatory text above takes their place.
   if (R.Status == JobStatus::Ok && !R.Comp->diags().all().empty()) {
     StringOStream OS;
     R.Comp->diags().printAll(OS);
@@ -161,8 +159,6 @@ BatchResult mpc::runBatchJob(BatchJob Job,
 
 std::vector<BatchResult> mpc::compileBatch(std::vector<BatchJob> Jobs,
                                            unsigned Threads) {
-  if (Jobs.empty())
-    return {};
   if (Threads == 0) {
     Threads = std::thread::hardware_concurrency();
     if (Threads == 0)
@@ -171,27 +167,28 @@ std::vector<BatchResult> mpc::compileBatch(std::vector<BatchJob> Jobs,
   if (Threads > Jobs.size())
     Threads = static_cast<unsigned>(Jobs.size());
 
-  // Serial runs stay inline on the calling thread (no pool, no spawn) —
-  // the historical contract profilers and debuggers rely on.
-  if (Threads <= 1) {
-    std::vector<BatchResult> Results;
-    Results.reserve(Jobs.size());
-    for (BatchJob &Job : Jobs) {
-      auto Comp = std::make_unique<CompilerContext>(Job.Options);
-      Results.push_back(runBatchJob(std::move(Job), std::move(Comp)));
+  // Workers pull job indices from one atomic counter; each job gets a
+  // fresh context and writes its own result slot, so the results come
+  // back in job order with nothing shared between workers.
+  std::vector<BatchResult> Results(Jobs.size());
+  std::atomic<size_t> Next{0};
+  auto Worker = [&] {
+    for (size_t I; (I = Next.fetch_add(1)) < Jobs.size();) {
+      auto Comp = std::make_unique<CompilerContext>(Jobs[I].Options);
+      Results[I] = runBatchJob(std::move(Jobs[I]), std::move(Comp));
     }
+  };
+  // Serial runs stay inline on the calling thread (no spawn) — the
+  // historical contract profilers and debuggers rely on.
+  if (Threads <= 1) {
+    Worker();
     return Results;
   }
-
-  // The parallel batch contract rides on the service: cold isolated
-  // contexts, each handed to its result.
-  ServiceConfig Cfg;
-  Cfg.Threads = Threads;
-  Cfg.WarmContexts = false;
-  Cfg.SharePages = false;
-  Cfg.KeepContexts = true;
-  CompileService Service(Cfg);
-  for (BatchJob &Job : Jobs)
-    Service.enqueue(std::move(Job));
-  return Service.drain();
+  std::vector<std::thread> Pool;
+  Pool.reserve(Threads);
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back(Worker);
+  for (std::thread &T : Pool)
+    T.join();
+  return Results;
 }

@@ -8,11 +8,11 @@
 /// parallel because every run owns its CompilerContext (trees, symbols,
 /// interner), so no compiler state is shared between workers.
 ///
-/// compileBatch() is nowadays a thin convenience over the CompileService
-/// (see CompileService.h): it spins up a service in cold-context,
-/// keep-context mode, enqueues every job, and drains — which preserves
-/// the historical contract exactly (isolated contexts, results in job
-/// order, bit-identical to a serial run).
+/// compileBatch() runs N threads over the job list, each job in a fresh
+/// CompilerContext that comes back with its result: isolated contexts,
+/// results in job order, bit-identical to a serial run. The long-lived
+/// CompileService (CompileService.h) shares runBatchJob with it but keeps
+/// no contexts — it strips each result and destroys the context.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,11 +44,11 @@ enum class JobStatus : uint8_t {
   Rejected,
   /// Cancelled at a checkpoint after its soft deadline expired (or spent
   /// the whole deadline waiting in the queue). The context unwinds
-  /// through RAII tree holders only, so it stays recyclable.
+  /// through RAII tree holders only.
   DeadlineExceeded,
   /// An exception escaped the compile; the worker's firewall converted it
-  /// into this failed result. The job's context is treated as poisoned —
-  /// discarded by the service, never recycled.
+  /// into this failed result. The job's context comes back with the
+  /// result but is only fit for destruction.
   Faulted,
 };
 
@@ -60,8 +60,8 @@ struct BatchJob {
   /// and copier flags are still derived from \p Kind.
   CompilerOptions Options;
   /// Render a typed tree dump of every lowered unit into
-  /// BatchResult::DumpText. This is how results stay comparable when the
-  /// service recycles contexts (the trees themselves die with the shell).
+  /// BatchResult::DumpText. This is how compile-service results stay
+  /// comparable (the trees themselves die with the job's context).
   bool WantDump = false;
   /// Queue lane in the compile service (ignored by plain compileBatch).
   /// Scheduling metadata only — deliberately NOT part of the JobKey, so
@@ -105,11 +105,10 @@ Fingerprint fingerprintSource(const SourceInput &Source);
 /// fails the build when a new field is added unaudited.
 JobKey jobKeyFor(const BatchJob &Job);
 
-/// The outcome of one job. The context is returned alongside the output
-/// because the lowered trees it contains live in the context's heap —
-/// except when the compile service recycles contexts, in which case
-/// Comp is null and Out carries no context-owned data (see
-/// ServiceConfig::KeepContexts).
+/// The outcome of one job. compileBatch returns the context alongside the
+/// output because the lowered trees it contains live in the context's
+/// heap. The compile service destroys the context instead: there Comp is
+/// null and Out carries no context-owned data.
 struct BatchResult {
   std::unique_ptr<CompilerContext> Comp;
   CompileOutput Out;
@@ -118,8 +117,8 @@ struct BatchResult {
   std::string DiagText; // rendered diagnostics when HadErrors
   std::string DumpText; // typed tree dumps when BatchJob::WantDump
   /// Simulated-heap statistics snapshot taken right after the compile
-  /// (before any teardown), so warm/cold and serial/parallel runs are
-  /// comparable field by field.
+  /// (before any teardown), so service and serial/parallel batch runs
+  /// are comparable field by field.
   HeapStats Heap;
   /// Order this job was taken off the service queue (0-based, service
   /// lifetime scope) — makes the priority-lane schedule observable to
@@ -129,7 +128,7 @@ struct BatchResult {
 
 /// Compiles one job in \p Comp, snapshotting diagnostics, heap stats,
 /// and (when requested) tree dumps into the result. The shared per-job
-/// core of compileBatch's serial path and the CompileService workers.
+/// core of compileBatch and the CompileService workers.
 ///
 /// This is also the fault boundary: a DeadlineExceeded unwind (the job's
 /// DeadlineSec, armed here as a stack-local CancelToken) or any other
@@ -140,9 +139,9 @@ BatchResult runBatchJob(BatchJob Job, std::unique_ptr<CompilerContext> Comp);
 
 /// Compiles all \p Jobs using up to \p Threads workers (0 = hardware
 /// concurrency). Results are returned in job order regardless of worker
-/// scheduling; each result is produced by an isolated CompilerContext, so
-/// outputs are bit-identical to a serial run. With one thread (or one
-/// job) the compile runs inline on the calling thread, as it always has.
+/// scheduling, each with the isolated CompilerContext that produced it,
+/// so outputs are bit-identical to a serial run. With one thread (or one
+/// job) the compile runs inline on the calling thread.
 std::vector<BatchResult> compileBatch(std::vector<BatchJob> Jobs,
                                       unsigned Threads = 0);
 

@@ -2,73 +2,13 @@
 
 #include "support/Timer.h"
 
-#include <cassert>
-
 using namespace mpc;
-
-//===----------------------------------------------------------------------===//
-// ContextPool
-//===----------------------------------------------------------------------===//
-
-std::unique_ptr<CompilerContext>
-ContextPool::acquire(const CompilerOptions &Opts, bool &Reused) {
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    if (!Free.empty()) {
-      std::unique_ptr<CompilerContext> Comp = std::move(Free.back());
-      Free.pop_back();
-      // The shell was reset at recycle time; only the new job's options
-      // need applying (legal: the heap is empty).
-      Comp->adoptOptions(Opts);
-      Reused = true;
-      return Comp;
-    }
-  }
-  Reused = false;
-  auto Comp = std::make_unique<CompilerContext>(Opts);
-  if (Pages)
-    Comp->heap().setPagePool(Pages);
-  return Comp;
-}
-
-void ContextPool::recycle(std::unique_ptr<CompilerContext> Comp) {
-  // Reset eagerly (outside the lock): pages flow back into the shared
-  // pool right away, where a concurrently running job can pick them up.
-  Comp->reset();
-  std::lock_guard<std::mutex> Lock(M);
-  Free.push_back(std::move(Comp));
-}
-
-size_t ContextPool::size() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Free.size();
-}
-
-//===----------------------------------------------------------------------===//
-// CompileService
-//===----------------------------------------------------------------------===//
 
 CompileService::CompileService(ServiceConfig Config)
     : Cfg(Config),
-      OwnPages(Cfg.SharePages && !Cfg.KeepContexts && !Cfg.ExternalPages
-                   ? std::make_unique<PagePool>(Cfg.PagePoolCfg)
-                   : nullptr),
-      // A context that escapes to the caller (KeepContexts) must own its
-      // pages outright, so page sharing is service-internal only.
-      Pages(Cfg.KeepContexts ? nullptr
-            : Cfg.SharePages ? (Cfg.ExternalPages ? Cfg.ExternalPages
-                                                  : OwnPages.get())
-                             : nullptr),
-      // KeepContexts forces the cache off: a replayed hit carries no
-      // context, which that contract hands to the caller.
-      Cache(Cfg.Cache.Enabled && !Cfg.KeepContexts
-                ? std::make_unique<ArtifactCache>(Cfg.Cache)
-                : nullptr),
-      Contexts(Pages), StartedAt(std::chrono::steady_clock::now()) {
-  // A streamed result is stripped of its context, which KeepContexts
-  // promises to hand over — the two modes cannot compose.
-  assert(!(Cfg.OnResult && Cfg.KeepContexts) &&
-         "OnResult delivery is incompatible with KeepContexts");
+      Cache(Cfg.Cache.Enabled ? std::make_unique<ArtifactCache>(Cfg.Cache)
+                              : nullptr),
+      StartedAt(std::chrono::steady_clock::now()) {
   unsigned N = Cfg.Threads;
   if (N == 0) {
     N = std::thread::hardware_concurrency();
@@ -322,7 +262,7 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
   Timer Busy;
 
   // Consult the artifact cache first: a hit replays the stored result
-  // without touching (or even acquiring) a context.
+  // without constructing a context.
   JobKey Key;
   if (Cache) {
     Key = jobKeyFor(Job);
@@ -338,68 +278,38 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
     Sheaf.add("service.cacheMisses", 1);
   }
 
-  bool Reused = false;
-  std::unique_ptr<CompilerContext> Comp;
-  if (Cfg.WarmContexts && !Cfg.KeepContexts) {
-    Comp = Contexts.acquire(Job.Options, Reused);
-  } else {
-    Comp = std::make_unique<CompilerContext>(Job.Options);
-    if (Pages)
-      Comp->heap().setPagePool(Pages);
-  }
-  const SlabAllocator::Stats &Backend0 = Comp->heap().backendStats();
-  uint64_t PagesFromPool0 = Backend0.PagesFromPool;
-  uint64_t PagesMapped0 = Backend0.PagesMapped;
-  uint64_t SystemCalls0 = Backend0.SystemCalls;
-
+  auto Comp = std::make_unique<CompilerContext>(Job.Options);
+  Comp->heap().setPagePool(&Pages);
   BatchResult R = runBatchJob(std::move(Job), std::move(Comp));
 
   Sheaf.add("service.jobsCompleted", 1);
-  if (Reused)
-    Sheaf.add("service.contextsReused", 1);
   if (R.Status == JobStatus::DeadlineExceeded)
     Sheaf.add("service.jobsDeadlineExceeded", 1);
   else if (R.Status == JobStatus::Faulted)
     Sheaf.add("service.jobsFaulted", 1);
   const SlabAllocator::Stats &Backend = R.Comp->heap().backendStats();
-  Sheaf.add("service.pagesShared", Backend.PagesFromPool - PagesFromPool0);
-  Sheaf.add("service.pagesMapped", Backend.PagesMapped - PagesMapped0);
-  Sheaf.add("service.realAllocs", Backend.SystemCalls - SystemCalls0);
+  Sheaf.add("service.pagesShared", Backend.PagesFromPool);
+  Sheaf.add("service.pagesMapped", Backend.PagesMapped);
+  Sheaf.add("service.realAllocs", Backend.SystemCalls);
+  // Fold the job's pipeline counters into the service aggregate.
+  Sheaf.merge(R.Comp->stats());
 
-  if (!Cfg.KeepContexts) {
-    // Everything context-owned must die before the shell is recycled:
-    // the units' trees live in the context heap, and the bytecode /
-    // entry points / check failures reference its symbols.
-    R.Out.Units.clear();
-    R.Out.Prog = Program();
-    R.Out.EntryPoints.clear();
-    R.Out.CheckFailures.clear();
-    // Fold the job's pipeline counters into the service aggregate (in
-    // KeepContexts mode the caller owns them via the context).
-    Sheaf.merge(R.Comp->stats());
-    if (R.Status == JobStatus::Faulted) {
-      // Fault containment: the exception's throw site is unknown (it may
-      // have split an allocation from its accounting), so the shell
-      // counts as poisoned. Destroying it frees its pages wholesale —
-      // through the shared pool when attached — without reset()'s
-      // clean-heap precondition; the pool simply builds a fresh shell
-      // next time. A DeadlineExceeded unwind, by contrast, only ever
-      // crosses RAII tree holders, so that shell recycles normally.
-      R.Comp.reset();
-      Sheaf.add("service.contextsDiscarded", 1);
-    } else if (Cfg.WarmContexts) {
-      Contexts.recycle(std::move(R.Comp));
-    } else {
-      R.Comp.reset();
-    }
-    // Install the stripped result for future hits — completed compiles
-    // only: a rejected/cancelled/faulted result describes this request's
-    // scheduling fate, not the job's content, and must never replay for
-    // an equal key. (Cache implies !KeepContexts, so the payload never
-    // references a context.)
-    if (Cache && R.Status == JobStatus::Ok)
-      Cache->insert(Key, captureArtifact(R));
-  }
+  // Strip everything context-owned — the units' trees live in the
+  // context heap, and the bytecode / entry points / check failures
+  // reference its symbols — then destroy the context, which returns its
+  // pages to the shared pool. A faulted job's context goes the same way:
+  // destruction frees pages wholesale and needs no clean heap.
+  R.Out.Units.clear();
+  R.Out.Prog = Program();
+  R.Out.EntryPoints.clear();
+  R.Out.CheckFailures.clear();
+  R.Comp.reset();
+  // Install the stripped result for future hits — completed compiles
+  // only: a rejected/cancelled/faulted result describes this request's
+  // scheduling fate, not the job's content, and must never replay for
+  // an equal key.
+  if (Cache && R.Status == JobStatus::Ok)
+    Cache->insert(Key, captureArtifact(R));
 
   Sheaf.add("service.busyMicros",
             static_cast<uint64_t>(Busy.elapsedSeconds() * 1e6));
@@ -475,7 +385,6 @@ std::vector<BatchResult> CompileService::drain() {
     Stats.counter("service.cacheEvictions") = CS.Evictions;
     Stats.counter("service.cacheIntegrityRejects") = CS.IntegrityRejects;
   }
-  if (Pages)
-    Stats.counter("heap.pagesTrimmed") = Pages->stats().PagesTrimmed;
+  Stats.counter("heap.pagesTrimmed") = Pages.stats().PagesTrimmed;
   return Results;
 }

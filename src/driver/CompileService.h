@@ -21,27 +21,23 @@
 ///   1b. Deadlines and fault containment. A job's soft deadline
 ///      (BatchJob::DeadlineSec, measured from enqueue) is enforced by
 ///      cooperative checkpoints at phase boundaries; an expired job
-///      unwinds cleanly to JobStatus::DeadlineExceeded and its context
-///      stays recyclable. Any other exception is caught by the worker
-///      firewall in runBatchJob: the job fails (JobStatus::Faulted), its
-///      possibly-poisoned context is discarded instead of recycled
-///      (service.contextsDiscarded), and the worker lives on.
+///      unwinds cleanly to JobStatus::DeadlineExceeded. Any other
+///      exception is caught by the worker firewall in runBatchJob: the
+///      job fails (JobStatus::Faulted) and the worker lives on.
 ///
-///   2. Warm contexts. A ContextPool recycles CompilerContext shells
-///      between jobs: CompilerContext::reset() restores name table, type
-///      interner, symbol world, and heap in O(live) — keeping table
-///      capacities, arena slabs, and (via the shared PagePool) mapped
-///      slab pages — instead of reconstructing everything cold. Name
-///      ordinals, symbol ids, and the allocation clock restart exactly as
-///      in a cold context, so a warm run's output is byte-identical to a
-///      cold run's (pinned by CompileServiceTest).
+///   2. Cold contexts over a shared page pool. Every job that misses the
+///      cache compiles in a freshly constructed CompilerContext, which is
+///      destroyed as soon as the result is stripped. The contexts' slab
+///      heaps attach to one service-owned PagePool (the default
+///      1024-page cap), so the 64 KiB pages a finished job releases serve
+///      the next job on any worker — that pool, not context reuse, keeps
+///      the service's footprint flat.
 ///
 ///   3. Per-worker stats sheaves. Workers record their counters
-///      (jobs completed, contexts reused, pages obtained from the shared
-///      pool, busy time) in private StatsSheaf blocks; drain() merges the
-///      sheaves into the service's StatsRegistry and derives
-///      service.workerUtilization — no shared counter is touched on the
-///      per-job path.
+///      (jobs completed, pages obtained from the shared pool, busy time)
+///      in private StatsSheaf blocks; drain() merges the sheaves into the
+///      service's StatsRegistry and derives service.workerUtilization —
+///      no shared counter is touched on the per-job path.
 ///
 ///   4. Content-addressed artifact cache. Each dequeued job derives its
 ///      JobKey (hash of sources + cache-relevant options + pipeline
@@ -51,18 +47,12 @@
 ///      replayable payload. Replay is byte-identical to a cache-disabled
 ///      run (pinned by CompileServiceTest), counters surface as
 ///      service.cacheHits/cacheMisses/cacheBytes/cacheEvictions, and
-///      capacity is LRU-bounded by CacheConfig::MaxBytes. KeepContexts
-///      mode forces the cache off — a replayed hit has no context to
-///      hand to the caller.
+///      capacity is LRU-bounded by CacheConfig::MaxBytes.
 ///
-/// Context ownership has two modes. KeepContexts=true (what compileBatch
-/// uses) hands each result its context, exactly like the historical
-/// driver — contexts are then necessarily cold and unpooled, and no
-/// shared page pool is attached (the pool must not outlive into caller-
-/// owned contexts). KeepContexts=false is the service mode: the worker
-/// snapshots everything the caller may want (dumps, heap stats,
-/// diagnostics), strips the output of context-owned data, and returns
-/// the shell to the pool for the next job.
+/// Results carry no context: the worker snapshots everything the caller
+/// may want (dumps, heap stats, diagnostics), strips the output of
+/// context-owned data, and destroys the context. Callers that need the
+/// lowered trees themselves use compileBatch (Batch.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,37 +75,6 @@
 #include <vector>
 
 namespace mpc {
-
-/// Mutex-guarded free list of reset CompilerContext shells. acquire()
-/// prefers a warm shell (already reset; just adopts the job's options)
-/// and falls back to constructing one; recycle() resets the shell and
-/// returns it. Every context the pool creates is attached to \p Pages
-/// when non-null, so slab pages flow between shells through the shared
-/// PagePool.
-class ContextPool {
-public:
-  explicit ContextPool(PagePool *Pages = nullptr) : Pages(Pages) {}
-  ContextPool(const ContextPool &) = delete;
-  ContextPool &operator=(const ContextPool &) = delete;
-
-  /// A context configured with \p Opts; \p Reused reports whether it is
-  /// a recycled warm shell.
-  std::unique_ptr<CompilerContext> acquire(const CompilerOptions &Opts,
-                                           bool &Reused);
-
-  /// Resets \p Comp (releasing its pages into the shared pool) and parks
-  /// the shell for the next acquire. Precondition: nothing references
-  /// the context's trees anymore.
-  void recycle(std::unique_ptr<CompilerContext> Comp);
-
-  /// Warm shells currently parked.
-  size_t size() const;
-
-private:
-  mutable std::mutex M;
-  std::vector<std::unique_ptr<CompilerContext>> Free;
-  PagePool *Pages;
-};
 
 /// What the service does when a job arrives at a full queue
 /// (ServiceConfig::MaxQueueDepth).
@@ -161,25 +120,9 @@ struct ServiceConfig {
   /// consecutive interactive dequeues while batch work waits, the next
   /// dequeue takes from the batch lane regardless.
   unsigned InteractiveBurst = 3;
-  /// Recycle CompilerContext shells between jobs via the ContextPool.
-  bool WarmContexts = true;
-  /// Attach a shared PagePool so slab pages mapped by one job serve the
-  /// next, across contexts and workers.
-  bool SharePages = true;
-  /// Use this pool instead of a service-owned one (e.g.
-  /// &processPagePool() to share pages process-wide across services).
-  PagePool *ExternalPages = nullptr;
-  /// Sizing policy of the service-owned page pool (ignored when
-  /// ExternalPages is set — the external pool brings its own cap).
-  PagePoolConfig PagePoolCfg;
   /// Artifact-cache policy: consult-before-compile with LRU-bounded
-  /// storage. Forced off in KeepContexts mode (a cache hit produces no
-  /// context, which that contract requires).
+  /// storage.
   CacheConfig Cache;
-  /// Results keep their contexts (the historical compileBatch contract).
-  /// Forces cold, unpooled contexts with no shared pages — a context
-  /// that escapes to the caller must own its storage outright.
-  bool KeepContexts = false;
   /// Streaming delivery (the network server's mode): when set, every
   /// completed job — including rejected/shed ones — is handed to this
   /// callback the moment it finishes, in *completion* order, instead of
@@ -189,8 +132,7 @@ struct ServiceConfig {
   /// call back into drain(). stop() returns only after the callback has
   /// fired for every admitted job — the graceful-drain contract a server
   /// builds on. drain() still merges stats (and waits for quiescence)
-  /// but returns no results in this mode. Incompatible with
-  /// KeepContexts.
+  /// but returns no results in this mode.
   std::function<void(uint64_t Id, BatchResult Result)> OnResult;
 };
 
@@ -239,31 +181,24 @@ public:
   /// taken by a worker). Thread-safe.
   size_t queuedJobs() const;
 
-  /// Merged service counters: service.jobsCompleted, contextsReused,
-  /// pagesShared, workerUtilization (percent), the cache counters
+  /// Merged service counters: service.jobsCompleted, pagesShared,
+  /// pagesMapped, workerUtilization (percent), the cache counters
   /// (service.cacheHits/cacheMisses/cacheBytes/cacheEvictions), the
   /// admission/robustness counters (service.jobsRejected, jobsShed,
-  /// jobsDeadlineExceeded, jobsFaulted, contextsDiscarded,
-  /// queueDepthPeak), plus the aggregated per-job context counters
-  /// (fusion.*, heap.*, frontend.*) of recycled jobs. Stable between
-  /// drain() calls.
+  /// jobsDeadlineExceeded, jobsFaulted, queueDepthPeak), plus the
+  /// aggregated per-job context counters (fusion.*, heap.*, frontend.*)
+  /// of compiled jobs. Stable between drain() calls.
   StatsRegistry &stats() { return Stats; }
 
-  /// The shared page pool in effect, or null.
-  PagePool *pagePool() { return Pages; }
+  /// The shared page pool every job's context draws its pages from.
+  PagePool *pagePool() { return &Pages; }
 
-  /// The artifact cache in effect, or null (cache disabled or
-  /// KeepContexts mode).
+  /// The artifact cache in effect, or null (cache disabled).
   ArtifactCache *artifactCache() { return Cache.get(); }
 
   unsigned threadCount() const {
     return static_cast<unsigned>(Workers.size());
   }
-
-  /// Warm context shells currently parked in the pool. At most one shell
-  /// exists per worker at any instant (and discarded shells die), so this
-  /// never exceeds threadCount() — the soak test's fixed point.
-  size_t warmContexts() const { return Contexts.size(); }
 
 private:
   /// One admitted-but-not-yet-running job. EnqueuedAt feeds the queue
@@ -295,13 +230,9 @@ private:
                               std::vector<PendingReject> &Deferred);
 
   ServiceConfig Cfg;
-  // Destruction order matters: workers join first (declared last), then
-  // the context pool drops its shells, then OwnPages frees pages the
-  // shells released into it.
-  std::unique_ptr<PagePool> OwnPages;
-  PagePool *Pages = nullptr;
+  // Declared before Workers, so it outlives every context they create.
+  PagePool Pages;
   std::unique_ptr<ArtifactCache> Cache;
-  ContextPool Contexts;
 
   mutable std::mutex M;
   std::condition_variable QueueCv; // workers: queue non-empty or stopping

@@ -21,7 +21,7 @@ mpc::runFrontEnd(CompilerContext &Comp, std::vector<SourceInput> Sources) {
   for (SourceInput &Src : Sources) {
     // Frontend stage loop: cancellation checkpoint + fault point between
     // sources. At this boundary only RAII state (parsed units, arenas) is
-    // live, so an unwind from either leaves the context recyclable.
+    // live, so an unwind from either releases everything it held.
     Comp.checkpoint();
     faultStagePoint(FaultSite::FrontendEntry);
     ParsedUnit PU;

@@ -140,15 +140,6 @@ public:
   void setPagePool(PagePool *Pool) { Slab.setPagePool(Pool); }
   PagePool *pagePool() const { return Slab.pagePool(); }
 
-  /// Warm-reuse reset: returns every slab page (to the shared pool when
-  /// attached), clears the simulated statistics and the allocation
-  /// clock. The caller guarantees no object allocated from this heap is
-  /// still referenced. Generational geometry is preserved.
-  void reset() {
-    Slab.releaseAll();
-    resetStats();
-  }
-
   /// Backend counters: slab hits, pages mapped, system-allocator calls.
   const SlabAllocator::Stats &backendStats() const { return Slab.stats(); }
 

@@ -10,8 +10,8 @@
 /// worker thread with a different CompilerContext. The pool owns every
 /// page it holds: an allocator that puts a page in transfers ownership,
 /// and takes ownership back when it takes one out, so contexts can come
-/// and go while the pool (owned by the CompileService, or the process-wide
-/// instance from processPagePool()) keeps the memory alive.
+/// and go while the pool (owned by the CompileService) keeps the memory
+/// alive.
 ///
 /// Inventory is bounded: PagePoolConfig::MaxPages caps how many pages the
 /// pool keeps; a put() beyond the cap frees the page back to the system
@@ -40,8 +40,7 @@ struct PagePoolConfig {
   /// Pages the pool may hold at once. A put() that would exceed the cap
   /// frees the page to the system instead ("trim"), so idle inventory is
   /// bounded: a burst of large jobs can no longer pin its peak footprint
-  /// forever. 0 = unbounded (the pre-cap behavior). The default caps the
-  /// pool at 1024 x 64 KiB = 64 MiB.
+  /// forever. The default caps the pool at 1024 x 64 KiB = 64 MiB.
   size_t MaxPages = 1024;
 };
 
@@ -78,7 +77,7 @@ public:
   /// at MaxPages, the page is trimmed (freed to the system) instead.
   void put(void *Page) {
     std::lock_guard<std::mutex> Lock(M);
-    if (Cfg.MaxPages != 0 && Pages.size() >= Cfg.MaxPages) {
+    if (Pages.size() >= Cfg.MaxPages) {
       std::free(Page);
       ++NumTrimmed;
       return;
@@ -116,12 +115,6 @@ private:
   uint64_t NumTaken = 0;
   uint64_t NumTrimmed = 0;
 };
-
-/// The optional process-wide pool: every CompileService (and any direct
-/// SlabAllocator user) that opts in shares one page inventory, so pages
-/// survive service teardown and prime the next service. Constructed on
-/// first use; intentionally leaked at exit (pages outlive any user).
-PagePool &processPagePool();
 
 } // namespace mpc
 

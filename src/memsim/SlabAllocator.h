@@ -30,12 +30,13 @@
 /// PagePool (setPagePool) lifts it process-wide: retired pages transfer to
 /// the shared, mutex-guarded pool and takePage pulls from it, so pages
 /// mapped while compiling one job serve the next job in a *different*
-/// context — the CompileService's warm-page path. Ownership follows the
-/// page: the allocator tracks the pages it currently holds on an intrusive
-/// list threaded through the page headers and, at destruction or
-/// releaseAll(), frees them (no shared pool) or returns them to the shared
-/// pool (which then owns them). The allocator itself stays single-threaded;
-/// only the PagePool handoff is synchronized.
+/// context — the CompileService gives every job a fresh context over one
+/// shared pool, so this is how its pages outlive the contexts. Ownership
+/// follows the page: the allocator tracks the pages it currently holds on
+/// an intrusive list threaded through the page headers and, at
+/// destruction or releaseAll(), frees them (no shared pool) or returns
+/// them to the shared pool (which then owns them). The allocator itself
+/// stays single-threaded; only the PagePool handoff is synchronized.
 ///
 /// Steady-state compilation touches the system allocator once per 64 KiB,
 /// and an idle class's emptied pages are reusable everywhere. The backend
@@ -171,8 +172,8 @@ public:
     }
   }
 
-  /// Returns every page this allocator holds — the context-recycling
-  /// "everything is dead now" path, where remaining live blocks die with
+  /// Returns every page this allocator holds — the "everything is dead
+  /// now" path the destructor takes, where remaining live blocks die with
   /// their pages. Pages go back to the shared pool when one is attached,
   /// otherwise to the system. Afterwards the allocator is as fresh as a
   /// newly constructed one (cumulative stats excepted), so setEnabled /

@@ -13,7 +13,6 @@ using namespace mpc::net;
 
 CompileServer::CompileServer(ServerConfig Config) : Cfg(std::move(Config)) {
   // The server owns result delivery; the service must stream, not park.
-  Cfg.Service.KeepContexts = false;
   Cfg.Service.OnResult = [this](uint64_t Id, BatchResult R) {
     deliverResult(Id, std::move(R));
   };

@@ -76,28 +76,6 @@ public:
   /// Total bytes handed out (excluding alignment waste).
   uint64_t bytesUsed() const { return TotalUsed; }
 
-  /// Logically empties the arena for reuse, retaining the largest slab
-  /// so a warm arena serves the next compilation without re-growing from
-  /// scratch (usually the newest slab, but an early oversized request
-  /// can leave the largest one mid-list). All previously returned
-  /// pointers are invalidated. O(number of retired slabs).
-  void reset() {
-    if (Slabs.empty()) {
-      TotalUsed = 0;
-      return;
-    }
-    size_t Largest = 0;
-    for (size_t I = 1; I < Slabs.size(); ++I)
-      if (Slabs[I].Size > Slabs[Largest].Size)
-        Largest = I;
-    if (Largest != 0)
-      Slabs.front() = std::move(Slabs[Largest]);
-    Slabs.resize(1);
-    Cur = Slabs.front().Mem.get();
-    End = Cur + Slabs.front().Size;
-    TotalUsed = 0;
-  }
-
 private:
   void growSlab(size_t AtLeast) {
     size_t Size = NextSlabSize;

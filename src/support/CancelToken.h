@@ -8,9 +8,8 @@
 /// frontend's per-source loop, every pipeline phase boundary, and the
 /// driver's stage boundaries. A checkpoint that observes an expired token
 /// throws DeadlineExceeded; because every tree is reference-counted and
-/// every intermediate holder is RAII, the unwind releases all context
-/// storage, which is what makes a cancelled job's CompilerContext safely
-/// recyclable (the service's reset() asserts live-bytes == 0).
+/// every intermediate holder is RAII, the unwind releases all tree
+/// storage a cancelled job held.
 ///
 /// Checkpoints run *between* units or phases, never inside a tree
 /// traversal, so cancellation latency is bounded by one phase boundary —

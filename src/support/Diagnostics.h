@@ -91,14 +91,6 @@ public:
     NumSuppressed = 0;
   }
 
-  /// Full reset for context recycling: clears diagnostics AND the file
-  /// table, so a warm context assigns the same file ids as a cold one.
-  /// The configured per-file cap survives (it is configuration, not state).
-  void reset() {
-    clear();
-    Files.clear();
-  }
-
 private:
   void report(DiagSeverity Sev, SourceLoc Loc, std::string Message) {
     if (MaxPerFile != 0) {

@@ -101,18 +101,6 @@ public:
   /// Bytes of name storage (entry headers plus character data).
   uint64_t poolBytes() const { return Storage.bytesUsed(); }
 
-  /// Empties the table for warm reuse: every Name handed out becomes
-  /// invalid, ordinals restart at 1 (so a reset table re-interns the
-  /// same intern sequence to the same ordinals — the determinism the
-  /// compile service's context recycling relies on), and the slot array
-  /// and arena storage keep their capacity. O(slot capacity).
-  void reset() {
-    Slots.assign(Slots.size(), Slot());
-    Storage.reset();
-    Num = 0;
-    NextOrdinal = 1;
-  }
-
 private:
   struct Slot {
     const detail::NameEntry *Entry = nullptr;

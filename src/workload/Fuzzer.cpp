@@ -36,8 +36,6 @@ FuzzOutcome mpc::runPipelineOnce(CompilerContext &Comp,
                                  std::vector<SourceInput> Sources) {
   FuzzOutcome O;
   try {
-    // Scope the output so trees and bytecode die before the caller's
-    // reset() (which asserts the managed heap is empty).
     CompileOutput Out =
         compileProgram(Comp, std::move(Sources), PipelineKind::StandardFused);
     O.HasErrors = Comp.diags().hasErrors();
@@ -96,8 +94,7 @@ std::string diffOutcomes(const FuzzOutcome &A, const FuzzOutcome &B) {
 
 } // namespace
 
-FuzzOutcome mpc::runFuzzCase(CompilerContext &WarmComp, const FuzzCase &C,
-                             FuzzStats &Stats) {
+FuzzOutcome mpc::runFuzzCase(const FuzzCase &C, FuzzStats &Stats) {
   ++Stats.CasesRun;
   FuzzOutcome Cold = runCold(C);
 
@@ -132,16 +129,6 @@ FuzzOutcome mpc::runFuzzCase(CompilerContext &WarmComp, const FuzzCase &C,
     Stats.Violations.push_back(
         {C, "nondeterministic", caseLabel(C) + ": " +
                                     diffOutcomes(Cold, Cold2)});
-
-  // Warm reuse: the long-lived recycled context must match cold exactly,
-  // including (especially) right after earlier error-laden cases.
-  FuzzOutcome Warm =
-      runPipelineOnce(WarmComp, generateFamily(C.F, C.Seed, C.Scale));
-  WarmComp.reset();
-  if (!(Cold == Warm))
-    Stats.Violations.push_back(
-        {C, "warm-cold-mismatch", caseLabel(C) + ": " +
-                                      diffOutcomes(Cold, Warm)});
   return Cold;
 }
 
@@ -149,9 +136,8 @@ FuzzStats mpc::runFuzzCampaign(const std::vector<Family> &Families,
                                uint64_t StartSeed, uint64_t NumSeeds,
                                double Scale) {
   FuzzStats Stats;
-  CompilerContext WarmComp;
   for (uint64_t S = 0; S < NumSeeds; ++S)
     for (Family F : Families)
-      runFuzzCase(WarmComp, {F, StartSeed + S, Scale}, Stats);
+      runFuzzCase({F, StartSeed + S, Scale}, Stats);
   return Stats;
 }

@@ -3,16 +3,14 @@
 /// \file
 /// Deterministic full-pipeline fuzzing harness. Feeds seeded generator
 /// families (valid and adversarial) through lex -> parse -> type ->
-/// transforms -> interpreter and checks the three totality properties the
+/// transforms -> interpreter and checks the totality properties the
 /// compile service depends on:
 ///
 ///   1. no input crashes the compiler — invalid programs produce
 ///      diagnostics, never aborts or unhandled exceptions;
 ///   2. diagnostics and program output are deterministic — two cold runs
 ///      of the same seed are byte-identical;
-///   3. context recycling is clean — compiling on a warm, reset() -recycled
-///      context (including right after an error-laden job) is
-///      byte-identical to a cold context.
+///   3. valid families compile cleanly and their programs run to output.
 ///
 /// Every case is reproducible from (family, seed, scale) alone; a failure
 /// report names all three.
@@ -58,7 +56,7 @@ struct FuzzOutcome {
 struct FuzzViolation {
   FuzzCase Case;
   std::string Kind; // "crash" | "valid-family-rejected" |
-                    // "nondeterministic" | "warm-cold-mismatch"
+                    // "nondeterministic"
   std::string Detail;
 };
 
@@ -79,24 +77,17 @@ std::string renderDiags(const DiagnosticEngine &Diags);
 
 /// Compiles \p Sources on \p Comp with the standard fused pipeline and,
 /// when the compile is clean and has an entry point, interprets it.
-/// Exceptions are captured into the outcome instead of escaping. The
-/// caller owns context hygiene (reset() between jobs); all pipeline
-/// outputs are destroyed before this returns, so a reset() directly after
-/// is legal.
+/// Exceptions are captured into the outcome instead of escaping. All
+/// pipeline outputs are destroyed before this returns.
 FuzzOutcome runPipelineOnce(CompilerContext &Comp,
                             std::vector<SourceInput> Sources);
 
-/// Runs one case's full check triple: cold compile, identical cold rerun
-/// (determinism), and a compile on \p WarmComp — which is reset() after
-/// use — compared byte-for-byte against the cold outcome. Appends any
-/// violations to \p Stats and returns the cold outcome.
-FuzzOutcome runFuzzCase(CompilerContext &WarmComp, const FuzzCase &C,
-                        FuzzStats &Stats);
+/// Runs one case's checks: a cold compile and an identical cold rerun
+/// (determinism), each in a fresh context. Appends any violations to
+/// \p Stats and returns the first outcome.
+FuzzOutcome runFuzzCase(const FuzzCase &C, FuzzStats &Stats);
 
 /// Full campaign over \p Families x [StartSeed, StartSeed + NumSeeds).
-/// One warm context lives across the whole campaign, recycled between
-/// cases, so error-path state leaks surface as warm/cold mismatches in
-/// later cases.
 FuzzStats runFuzzCampaign(const std::vector<Family> &Families,
                           uint64_t StartSeed, uint64_t NumSeeds,
                           double Scale);

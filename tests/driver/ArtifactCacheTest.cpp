@@ -3,7 +3,8 @@
 // LRU-bounded ArtifactCache.
 //
 //   * JobKey audit: every cache-relevant CompilerOptions field flips the
-//     key; the explicitly cache-irrelevant field (SlabHeap) does not;
+//     key; the explicitly cache-irrelevant fields (SlabHeap, and the
+//     FuseMiniphases/AlwaysCopy pair the pipeline kind overrides) do not;
 //     sources, unit order, pipeline kind, and the dump request all key.
 //     (The field-count tripwire itself is a static_assert in Batch.cpp —
 //     it fails the *build* when CompilerOptions changes unaudited.)
@@ -67,11 +68,7 @@ TEST(JobKey, EveryCacheRelevantOptionFlipsTheKey) {
     return jobKeyFor(J);
   };
   // The cache-relevant list from the Batch.cpp audit, one flip each.
-  EXPECT_NE(WithOptions([](CompilerOptions &O) { O.FuseMiniphases = false; }),
-            Base);
   EXPECT_NE(WithOptions([](CompilerOptions &O) { O.CheckTrees = true; }),
-            Base);
-  EXPECT_NE(WithOptions([](CompilerOptions &O) { O.AlwaysCopy = true; }),
             Base);
   EXPECT_NE(WithOptions([](CompilerOptions &O) { O.IdentitySkip = false; }),
             Base);
@@ -93,6 +90,31 @@ TEST(JobKey, SlabHeapIsExplicitlyCacheIrrelevant) {
   BatchJob NoSlab = baseJob();
   NoSlab.Options.SlabHeap = false;
   EXPECT_EQ(jobKeyFor(NoSlab), jobKeyFor(baseJob()));
+}
+
+TEST(JobKey, KindDerivedFlagsAreCacheIrrelevant) {
+  // compileProgram overwrites FuseMiniphases and AlwaysCopy from the
+  // job's PipelineKind, so flipping them changes nothing the job
+  // produces — and must not split the cache entry either.
+  for (PipelineKind Kind : {PipelineKind::StandardFused,
+                            PipelineKind::StandardUnfused,
+                            PipelineKind::Legacy}) {
+    BatchJob Base = baseJob();
+    Base.Kind = Kind;
+    BatchJob Flipped = Base;
+    Flipped.Options.FuseMiniphases = !Base.Options.FuseMiniphases;
+    Flipped.Options.AlwaysCopy = !Base.Options.AlwaysCopy;
+    EXPECT_EQ(jobKeyFor(Flipped), jobKeyFor(Base)) << int(Kind);
+
+    std::vector<BatchJob> Jobs;
+    Jobs.push_back(Base);
+    Jobs.push_back(Flipped);
+    std::vector<BatchResult> R = compileBatch(std::move(Jobs), 1);
+    EXPECT_EQ(R[1].DumpText, R[0].DumpText) << int(Kind);
+    EXPECT_EQ(R[1].Heap.AllocatedBytes, R[0].Heap.AllocatedBytes)
+        << int(Kind);
+    EXPECT_EQ(R[1].Heap.TenuredBytes, R[0].Heap.TenuredBytes) << int(Kind);
+  }
 }
 
 TEST(JobKey, PipelineKindAndDumpRequestKey) {

@@ -1,14 +1,12 @@
 //===----------------------------------------------------------------------===//
-// Compile-service tests: the persistent worker pool with warm context
-// reuse and the shared page pool must be observationally identical to
+// Compile-service tests: the persistent worker pool, with a fresh context
+// per job over the shared page pool, must be observationally identical to
 // serial cold-context compilation.
 //
 //   * Determinism differential: per-job typed tree dumps and HeapStats
-//     are byte-identical to a serial cold-context baseline at worker
+//     are byte-identical to a serial compileBatch baseline at worker
 //     counts 1, 4, and 8, over the corpus plus generated stdlib/dotty
 //     workloads.
-//   * Context-reuse invariance: a warm (recycled) context produces the
-//     same output as a cold one, and the service actually reuses shells.
 //   * Page-pool stress: many small jobs churn pages through the shared
 //     pool (service.pagesShared > 0) with no allocator corruption — the
 //     SlabAllocator's internal invariants run under every job.
@@ -18,9 +16,6 @@
 //     cache-disabled run at worker counts 1/4/8, error results replay or
 //     recompile per CacheErrors, and the service counters track
 //     hits/misses/bytes.
-//   * Error recovery under reset(): syntactically invalid programs
-//     interleaved with valid ones across recycled contexts produce
-//     diagnostics identical to cold compilation.
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompileService.h"
@@ -75,26 +70,16 @@ void expectSameHeap(const HeapStats &A, const HeapStats &B,
   EXPECT_EQ(A.PeakLiveBytes, B.PeakLiveBytes) << Label;
 }
 
-/// The reference: one cold context per job, no service, no pooling —
-/// exactly what a serial compileBatch run used to do.
+/// The reference: one cold context per job, no service, no page pool.
 std::vector<BatchResult> serialColdBaseline(std::vector<BatchJob> Jobs) {
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.WarmContexts = false;
-  Cfg.SharePages = false;
-  CompileService Service(Cfg);
-  for (BatchJob &J : Jobs)
-    Service.enqueue(std::move(J));
-  return Service.drain();
+  return compileBatch(std::move(Jobs), /*Threads=*/1);
 }
 
-TEST(CompileService, WarmSharedServiceMatchesSerialColdAtEveryThreadCount) {
+TEST(CompileService, ServiceMatchesSerialColdAtEveryThreadCount) {
   std::vector<BatchResult> Baseline = serialColdBaseline(serviceJobs());
   for (unsigned Threads : {1u, 4u, 8u}) {
     ServiceConfig Cfg;
     Cfg.Threads = Threads;
-    Cfg.WarmContexts = true;
-    Cfg.SharePages = true;
     CompileService Service(Cfg);
     std::vector<BatchJob> Jobs = serviceJobs();
     for (BatchJob &J : Jobs)
@@ -110,37 +95,11 @@ TEST(CompileService, WarmSharedServiceMatchesSerialColdAtEveryThreadCount) {
       EXPECT_FALSE(Results[I].DumpText.empty()) << Label;
       EXPECT_EQ(Results[I].DumpText, Baseline[I].DumpText) << Label;
       expectSameHeap(Results[I].Heap, Baseline[I].Heap, Label);
-      // Service mode: contexts were recycled, not returned.
+      // Service mode: contexts were destroyed, not returned.
       EXPECT_EQ(Results[I].Comp, nullptr) << Label;
     }
     EXPECT_EQ(Service.stats().get("service.jobsCompleted"), Jobs.size());
   }
-}
-
-TEST(CompileService, WarmContextProducesColdOutput) {
-  // One worker, so the second round runs on recycled shells for sure.
-  // Cache off: this test pins the warm-CONTEXT path, so round 2 must
-  // recompile on recycled shells rather than replay cached artifacts.
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.Cache.Enabled = false;
-  CompileService Service(Cfg);
-  std::vector<BatchJob> Round1 = serviceJobs();
-  std::vector<BatchJob> Round2 = serviceJobs();
-  for (BatchJob &J : Round1)
-    Service.enqueue(std::move(J));
-  std::vector<BatchResult> First = Service.drain();
-  for (BatchJob &J : Round2)
-    Service.enqueue(std::move(J));
-  std::vector<BatchResult> Second = Service.drain();
-  ASSERT_EQ(First.size(), Second.size());
-  for (size_t I = 0; I < First.size(); ++I) {
-    EXPECT_EQ(First[I].DumpText, Second[I].DumpText) << "job " << I;
-    expectSameHeap(First[I].Heap, Second[I].Heap,
-                   "job " + std::to_string(I));
-  }
-  // Round 2 ran entirely on warm shells.
-  EXPECT_GE(Service.stats().get("service.contextsReused"), First.size());
 }
 
 TEST(CompileService, PagePoolStressSharesPagesAcrossJobs) {
@@ -166,14 +125,14 @@ TEST(CompileService, PagePoolStressSharesPagesAcrossJobs) {
   EXPECT_EQ(Service.stats().get("service.jobsCompleted"), NumJobs);
   // Pages mapped by earlier jobs served later ones.
   EXPECT_GT(Service.stats().get("service.pagesShared"), 0u);
-  // All shells are parked, so their pages are back in the pool.
+  // Every context is destroyed, so its pages are back in the pool.
   EXPECT_GT(Service.pagePool()->size(), 0u);
   PagePool::Stats PS = Service.pagePool()->stats();
   EXPECT_GE(PS.PagesPut, PS.PagesTaken);
 }
 
 TEST(CompileService, EnqueueWhileRunningKeepsOrderAcrossDrains) {
-  // Cache off so wave 2 exercises context recycling, not cache replay.
+  // Cache off so wave 2 recompiles rather than replaying the cache.
   ServiceConfig Cfg;
   Cfg.Threads = 2;
   Cfg.Cache.Enabled = false;
@@ -202,7 +161,6 @@ TEST(CompileService, EnqueueWhileRunningKeepsOrderAcrossDrains) {
     EXPECT_EQ(Wave1[I].DumpText, Wave2[I].DumpText) << "job " << I;
   EXPECT_EQ(Service.stats().get("service.jobsCompleted"),
             Wave1.size() + Wave2.size());
-  EXPECT_GT(Service.stats().get("service.contextsReused"), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -216,8 +174,6 @@ TEST(CompileService, CacheHitDrainIsByteIdenticalToCacheDisabledRun) {
   // second drain is served entirely from the cache.
   ServiceConfig BaseCfg;
   BaseCfg.Threads = 1;
-  BaseCfg.WarmContexts = false;
-  BaseCfg.SharePages = false;
   BaseCfg.Cache.Enabled = false;
   CompileService Baseline(BaseCfg);
   for (BatchJob &J : serviceJobs())
@@ -364,69 +320,6 @@ TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {
 }
 
 //===----------------------------------------------------------------------===//
-// Error recovery on recycled contexts
-//===----------------------------------------------------------------------===//
-
-TEST(CompileService, ErrorRecoveryOnRecycledContextsMatchesCold) {
-  // Invalid programs (parse errors and type errors) interleaved with
-  // valid ones, twice over, on one worker with the cache OFF — so every
-  // second-round job recompiles on a shell that previously absorbed a
-  // failed job. Diagnostics and dumps must match the cold baseline
-  // exactly; nothing else exercises error recovery under reset().
-  auto MixedJobs = [] {
-    std::vector<BatchJob> Jobs;
-    auto Add = [&](const std::string &Name, const std::string &Text) {
-      BatchJob J;
-      J.Sources.push_back({Name, Text});
-      J.WantDump = true;
-      Jobs.push_back(std::move(J));
-    };
-    Add("ok1.scala", corpusPrograms()[0].Source);
-    Add("parse_err.scala", "class { def broken(");
-    Add("ok2.scala", corpusPrograms()[1].Source);
-    Add("type_err.scala", "class C { def f(): Int = missing }");
-    Add("ok3.scala", corpusPrograms()[2].Source);
-    Add("parse_err2.scala", "def f = } }");
-    return Jobs;
-  };
-
-  ServiceConfig ColdCfg;
-  ColdCfg.Threads = 1;
-  ColdCfg.WarmContexts = false;
-  ColdCfg.SharePages = false;
-  ColdCfg.Cache.Enabled = false;
-  CompileService Cold(ColdCfg);
-  for (BatchJob &J : MixedJobs())
-    Cold.enqueue(std::move(J));
-  std::vector<BatchResult> Expected = Cold.drain();
-  // Sanity: the mix really contains failures and successes.
-  EXPECT_FALSE(Expected[0].HadErrors);
-  EXPECT_TRUE(Expected[1].HadErrors);
-  EXPECT_TRUE(Expected[3].HadErrors);
-
-  ServiceConfig WarmCfg;
-  WarmCfg.Threads = 1;
-  WarmCfg.Cache.Enabled = false;
-  CompileService Warm(WarmCfg);
-  for (int Round = 0; Round < 2; ++Round) {
-    for (BatchJob &J : MixedJobs())
-      Warm.enqueue(std::move(J));
-    std::vector<BatchResult> Results = Warm.drain();
-    ASSERT_EQ(Results.size(), Expected.size());
-    for (size_t I = 0; I < Results.size(); ++I) {
-      std::string Label =
-          "job " + std::to_string(I) + " round " + std::to_string(Round);
-      EXPECT_EQ(Results[I].HadErrors, Expected[I].HadErrors) << Label;
-      EXPECT_EQ(Results[I].DiagText, Expected[I].DiagText) << Label;
-      EXPECT_EQ(Results[I].DumpText, Expected[I].DumpText) << Label;
-      expectSameHeap(Results[I].Heap, Expected[I].Heap, Label);
-    }
-  }
-  // Round 2 ran on shells recycled after absorbing failed jobs.
-  EXPECT_GT(Warm.stats().get("service.contextsReused"), 0u);
-}
-
-//===----------------------------------------------------------------------===//
 // Backlog accounting
 //===----------------------------------------------------------------------===//
 
@@ -506,7 +399,7 @@ TEST(CompileService, OnResultStreamsEveryJobExactlyOnce) {
     ASSERT_NE(It, Sink.Results.end()) << "job " << I << " never delivered";
     EXPECT_EQ(It->second.Status, JobStatus::Ok) << "job " << I;
     EXPECT_EQ(It->second.DumpText, Baseline[I].DumpText)
-        << "streamed result diverged from drain-mode baseline, job " << I;
+        << "streamed result diverged from the serial baseline, job " << I;
   }
 }
 

@@ -5,10 +5,11 @@
 //
 //   * workers survive every injected fault (all jobs complete, the
 //     service keeps serving);
-//   * each faulted job's context is discarded, never recycled
-//     (service.contextsDiscarded accounting matches exactly);
+//   * every injected escape becomes exactly one Faulted result
+//     (service.jobsFaulted accounting matches exactly);
 //   * jobs compiled after the faults are byte-identical to a clean
-//     serial cold run — no poisoned state leaks forward.
+//     serial cold run — no poisoned state leaks forward through the
+//     shared page pool.
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompileService.h"
@@ -35,19 +36,11 @@ std::vector<BatchJob> faultJobs() {
 }
 
 std::vector<BatchResult> serialCold(std::vector<BatchJob> Jobs) {
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.WarmContexts = false;
-  Cfg.SharePages = false;
-  Cfg.Cache.Enabled = false;
-  CompileService Service(Cfg);
-  for (BatchJob &J : Jobs)
-    Service.enqueue(std::move(J));
-  return Service.drain();
+  return compileBatch(std::move(Jobs), /*Threads=*/1);
 }
 
 /// Runs the job set under \p FC at \p Threads workers, then — injector
-/// gone — the same jobs again on the same (warm, possibly fault-scarred)
+/// gone — the same jobs again on the same (possibly fault-scarred)
 /// service, asserting the containment contract throughout.
 void runFaultMatrix(const FaultConfig &FC, unsigned Threads,
                     const std::vector<BatchResult> &Clean) {
@@ -86,22 +79,19 @@ void runFaultMatrix(const FaultConfig &FC, unsigned Threads,
     EXPECT_GT(Ok, 0u) << Label;
 
     // Internal consistency: every injected escape became exactly one
-    // Faulted result, and every Faulted result cost one discarded shell.
+    // Faulted result.
     FaultInjector::Stats FS = Injector.injector().stats();
     ExpectedFaults =
         FS.StageThrows + FS.PageAllocFailures + FS.FallbackFailures;
     EXPECT_EQ(Faulted, ExpectedFaults) << Label;
     EXPECT_EQ(Service.stats().get("service.jobsFaulted"), ExpectedFaults)
         << Label;
-    EXPECT_EQ(Service.stats().get("service.contextsDiscarded"),
-              ExpectedFaults)
-        << Label;
     EXPECT_EQ(Service.stats().get("service.jobsCompleted"), Clean.size())
         << Label;
   }
 
-  // Injector withdrawn: the same jobs on the same service — running on a
-  // mix of recycled shells and replacements for discarded ones — must be
+  // Injector withdrawn: the same jobs on the same service — drawing
+  // pages that faulted jobs released into the shared pool — must be
   // byte-identical to the clean serial cold run.
   for (BatchJob &J : faultJobs())
     Service.enqueue(std::move(J));
@@ -112,10 +102,8 @@ void runFaultMatrix(const FaultConfig &FC, unsigned Threads,
     EXPECT_EQ(After[I].DumpText, Clean[I].DumpText) << Label << " job " << I;
     EXPECT_EQ(After[I].DiagText, Clean[I].DiagText) << Label << " job " << I;
   }
-  // No new faults, no new discards after the injector left.
+  // No new faults after the injector left.
   EXPECT_EQ(Service.stats().get("service.jobsFaulted"), ExpectedFaults)
-      << Label;
-  EXPECT_EQ(Service.stats().get("service.contextsDiscarded"), ExpectedFaults)
       << Label;
 }
 
@@ -130,8 +118,8 @@ TEST(ServiceFault, InjectedPhaseExceptionsAreContained) {
 
 TEST(ServiceFault, AllocationFailuresAreContained) {
   // Page-grant failures strike the allocator UNDER an allocation whose
-  // simulated accounting already ran — precisely the poisoned-context
-  // case the discard path exists for.
+  // simulated accounting already ran — a poisoned context that must
+  // still be destroyed cleanly.
   FaultConfig FC;
   FC.Seed = 11;
   FC.PageAllocFailRate = 0.05;
@@ -153,8 +141,8 @@ TEST(ServiceFault, MixedFaultLoadIsContained) {
 }
 
 TEST(ServiceFault, DelaysAloneChangeNothing) {
-  // Pure delay injection: no faults, no discards, outputs byte-identical
-  // — the injector's observation cost is zero.
+  // Pure delay injection: no faults, outputs byte-identical — the
+  // injector's observation cost is zero.
   FaultConfig FC;
   FC.StageDelayRate = 0.2;
   FC.StageDelayMicros = 100;
@@ -175,7 +163,6 @@ TEST(ServiceFault, DelaysAloneChangeNothing) {
   }
   EXPECT_GT(Injector.injector().stats().StageDelays, 0u);
   EXPECT_EQ(Service.stats().get("service.jobsFaulted"), 0u);
-  EXPECT_EQ(Service.stats().get("service.contextsDiscarded"), 0u);
 }
 
 TEST(ServiceFault, PoolTakeMissesForceFreshMappingsHarmlessly) {
@@ -206,29 +193,39 @@ TEST(ServiceFault, PoolTakeMissesForceFreshMappingsHarmlessly) {
   EXPECT_EQ(Service.stats().get("service.jobsFaulted"), 0u);
 }
 
-TEST(ServiceFault, FaultedJobInKeepContextsModeStillReturnsItsContext) {
-  // The firewall lives in runBatchJob, so the historical compileBatch
-  // contract benefits too: a faulted job hands back a (marked) context
-  // instead of losing it to the unwind.
-  FaultConfig FC;
-  FC.Seed = 5;
-  FC.StageThrowRate = 1.0; // every stage arrival throws: job 1 faults
-  ScopedFaultInjector Injector(FC);
+TEST(ServiceFault, FaultedBatchJobStillReturnsItsContext) {
+  // The firewall lives in runBatchJob, so compileBatch's parallel loop
+  // benefits too: a faulted job hands back its context instead of losing
+  // it to the unwind, and its neighbors are untouched. Every slab-page
+  // acquisition fails, so exactly the one job with the slab heap on
+  // faults; the slab-off jobs never take a page, and their output does
+  // not depend on the backend.
+  const size_t FaultedIdx = 1;
+  auto MakeJobs = [&] {
+    std::vector<BatchJob> Jobs = faultJobs();
+    Jobs.resize(4);
+    for (size_t I = 0; I < Jobs.size(); ++I)
+      Jobs[I].Options.SlabHeap = I == FaultedIdx;
+    return Jobs;
+  };
+  std::vector<BatchResult> Serial = serialCold(MakeJobs());
 
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.KeepContexts = true;
-  Cfg.WarmContexts = false;
-  Cfg.SharePages = false;
-  CompileService Service(Cfg);
-  BatchJob J;
-  J.Sources.push_back({"a.scala", corpusPrograms()[0].Source});
-  Service.enqueue(std::move(J));
-  std::vector<BatchResult> Results = Service.drain();
-  ASSERT_EQ(Results.size(), 1u);
-  EXPECT_EQ(Results[0].Status, JobStatus::Faulted);
-  EXPECT_TRUE(Results[0].HadErrors);
-  ASSERT_NE(Results[0].Comp, nullptr);
+  FaultConfig FC;
+  FC.PageAllocFailRate = 1.0;
+  ScopedFaultInjector Injector(FC);
+  std::vector<BatchResult> Results = compileBatch(MakeJobs(), /*Threads=*/2);
+  ASSERT_EQ(Results.size(), Serial.size());
+  for (size_t I = 0; I < Results.size(); ++I) {
+    ASSERT_NE(Results[I].Comp, nullptr) << "job " << I;
+    if (I == FaultedIdx) {
+      EXPECT_EQ(Results[I].Status, JobStatus::Faulted);
+      EXPECT_TRUE(Results[I].HadErrors);
+    } else {
+      EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
+      EXPECT_EQ(Results[I].DumpText, Serial[I].DumpText) << "job " << I;
+    }
+  }
+  EXPECT_EQ(Injector.injector().stats().PageAllocFailures, 1u);
 }
 
 } // namespace

@@ -4,9 +4,8 @@
 // and low-rate fault injection — must reach a resource fixed point:
 //
 //   * service.pagesMapped (fresh system mappings) plateaus after warmup:
-//     steady-state rounds run on recycled pages, so a fault/error mix
-//     cannot slowly grow the footprint;
-//   * the warm-context pool never exceeds the worker count;
+//     steady-state rounds run on pages earlier jobs released into the
+//     shared pool, so a fault/error mix cannot slowly grow the footprint;
 //   * the shared page pool stays within its configured cap.
 //
 // Bounded by construction (fixed rounds of tiny jobs, wall time a few
@@ -67,7 +66,7 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
       } else if (Roll < 90) {
         // Adversarial generator families: truncated, token-mutated,
         // delimiter-broken, and type-error-seeded programs stress parse
-        // recovery and the poisoned-type path on recycled contexts.
+        // recovery and the poisoned-type path.
         static const Family Adversarial[] = {
             Family::Truncated, Family::TokenMutation,
             Family::UnbalancedDelims, Family::TypeErrorSeeded};
@@ -88,7 +87,7 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
     std::vector<BatchResult> Results = Service.drain();
     EXPECT_LE(Results.size(), size_t(JobsPerRound));
 
-    // Fixed-point assertions, once the pools are warm.
+    // Fixed-point assertions, once the page pool is warm.
     uint64_t Mapped = Service.stats().get("service.pagesMapped");
     if (Round + 1 == WarmupRounds)
       MappedAfterWarmup = Mapped;
@@ -97,8 +96,6 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
                         MappedSlackPerRound * (Round + 1 - WarmupRounds);
       EXPECT_LE(Mapped, Budget) << "round " << Round;
     }
-    EXPECT_LE(Service.warmContexts(), size_t(Cfg.Threads))
-        << "round " << Round;
     EXPECT_LE(Service.pagePool()->size(), PoolCap) << "round " << Round;
   }
 

@@ -170,24 +170,6 @@ TEST(PagePool, TrimCapsPoolInventory) {
   Next.deallocate(P, 64);
 }
 
-TEST(PagePool, UnboundedWhenMaxPagesZero) {
-  PagePoolConfig Cfg;
-  Cfg.MaxPages = 0;
-  PagePool Pool(Cfg);
-  SlabAllocator Slab;
-  Slab.setPagePool(&Pool);
-  std::vector<void *> Blocks;
-  for (int I = 0; I < 2000; ++I)
-    Blocks.push_back(Slab.allocate(256));
-  uint64_t Mapped = Slab.stats().PagesMapped;
-  ASSERT_GT(Mapped, 4u);
-  for (void *P : Blocks)
-    Slab.deallocate(P, 256);
-  Slab.releaseAll();
-  EXPECT_EQ(Pool.size(), Mapped);
-  EXPECT_EQ(Pool.stats().PagesTrimmed, 0u);
-}
-
 TEST(SlabAllocator, DisabledModePassesThrough) {
   SlabAllocator Slab(/*Enabled=*/false);
   void *P = Slab.allocate(64);

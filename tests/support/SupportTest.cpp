@@ -86,13 +86,13 @@ TEST(DiagnosticsTest, PerFileCapSuppressesFloods) {
   D.error({B, 1, 1}, "other file");
   EXPECT_EQ(D.emittedCount(), 7u);
   EXPECT_EQ(D.all().back().Message, "other file");
-  // clear() resets counters so a recycled engine caps afresh.
+  // clear() resets counters so the engine caps afresh.
   D.clear();
   EXPECT_EQ(D.emittedCount(), 0u);
   EXPECT_EQ(D.suppressedCount(), 0u);
   D.error({A, 1, 1}, "fresh");
   EXPECT_EQ(D.emittedCount(), 1u);
-  // The configured cap itself survives clear() and reset().
+  // The configured cap itself survives clear().
   EXPECT_EQ(D.maxDiagnosticsPerFile(), 5u);
 }
 

@@ -3,8 +3,8 @@
 //
 // Runs seeded generator families (valid and adversarial) through the whole
 // compiler and checks the totality properties (no crashes, deterministic
-// diagnostics, warm == cold after context recycling). Every case replays
-// from its (family, seed, scale) triple:
+// diagnostics across two cold runs, valid families compile and run).
+// Every case replays from its (family, seed, scale) triple:
 //
 //   mpc_fuzz --seeds 10000                    # full campaign
 //   mpc_fuzz --families truncated,mixed       # subset
@@ -29,6 +29,8 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: mpc_fuzz [options]\n"
+      "Compiles each case twice in fresh contexts and reports crashes,\n"
+      "nondeterministic output, and rejected valid-family programs.\n"
       "  --seeds N        number of seeds per family (default 100)\n"
       "  --start N        first seed (default 0)\n"
       "  --scale F        program size scale (default 0.25)\n"
@@ -133,7 +135,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Stats.DiagsSeen));
   if (Stats.ok()) {
     std::printf("mpc_fuzz: all properties held (no crashes, deterministic, "
-                "warm == cold)\n");
+                "valid families accepted)\n");
     return 0;
   }
   std::printf("mpc_fuzz: %zu violations\n", Stats.Violations.size());

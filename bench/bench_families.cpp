@@ -1,7 +1,8 @@
 //===----------------------------------------------------------------------===//
 // Stress-family benchmark: full-pipeline wall time per generator family,
-// one BENCH_ci.json row each. Valid families measure compile+run cost of
-// adversarially-shaped (but well-typed) programs; invalid families
+// one BENCH_ci.json row each. Valid families measure the compile cost of
+// adversarially-shaped (but well-typed) programs plus one run on each
+// engine (runPipelineOnce runs the tree-walker and the VM); invalid families
 // measure the error path — parse recovery, poisoned typing, and
 // diagnostics — which the compile service pays on every malformed job.
 //

@@ -4,7 +4,9 @@
 // and mega-methods stress families (the two guest-compute-bound shapes).
 // Reports instructions/sec for both engines — each engine's own step
 // count over its own wall time — the wall-time ratio on identical
-// programs, and the VM's dispatch/inline-cache counter breakdown.
+// programs, and the VM's dispatch/inline-cache counter breakdown. The
+// breakdown comes from one profiled run after the timed loop: the timed
+// VM runs are unprofiled, so their rate is the dispatch fast path's.
 //
 // `bench_interp --pairs` additionally links with superinstruction fusion
 // OFF and prints the hottest dynamic opcode pairs: the measurement that
@@ -79,23 +81,33 @@ std::string humanRate(double PerSec) {
   return Buf;
 }
 
-/// Prints the VM's per-run counter breakdown (the stats flushed by the
-/// last runMain) and records it in the JSON trail.
-void dumpCounters(CompilerContext &Comp, const std::string &Tag) {
-  StatsRegistry &Stats = Comp.stats();
+/// Runs \p Linked once with profiling on and prints that run's counter
+/// breakdown (per-opcode dispatches, inline-cache hits), recording it in
+/// the JSON trail.
+void dumpCounters(CompilerContext &Comp, LinkedProgram &Linked, Symbol *Entry,
+                  const std::string &Tag) {
+  StatsRegistry Before = Comp.stats();
+  VM Profiled(Comp, Linked, BenchStepLimit);
+  Profiled.enablePairCounts();
+  Profiled.runMain(Entry);
+  const StatsRegistry &After = Comp.stats();
+  auto Added = [&](const std::string &Key) {
+    return After.get(Key) - Before.get(Key);
+  };
   struct Row {
     std::string Key;
     uint64_t N;
   };
   std::vector<Row> Dispatch;
-  for (const auto &[Key, N] : Stats.all())
-    if (Key.rfind("backend.vm.dispatch.", 0) == 0 && N > 0)
-      Dispatch.push_back({Key.substr(std::strlen("backend.vm.dispatch.")), N});
+  for (const auto &[Key, N] : After.all())
+    if (Key.rfind("backend.vm.dispatch.", 0) == 0 && Added(Key) > 0)
+      Dispatch.push_back(
+          {Key.substr(std::strlen("backend.vm.dispatch.")), Added(Key)});
   std::sort(Dispatch.begin(), Dispatch.end(),
             [](const Row &A, const Row &B) { return A.N > B.N; });
 
-  uint64_t Steps = Stats.get("backend.vm.steps");
-  std::printf("  VM counter breakdown (%llu dispatches):\n",
+  uint64_t Steps = Added("backend.vm.steps");
+  std::printf("  VM counter breakdown (one profiled run, %llu dispatches):\n",
               (unsigned long long)Steps);
   size_t Show = std::min<size_t>(Dispatch.size(), 10);
   for (size_t I = 0; I < Show; ++I) {
@@ -105,10 +117,10 @@ void dumpCounters(CompilerContext &Comp, const std::string &Tag) {
     jsonMetric("interp_" + Tag, "dispatch_" + Dispatch[I].Key,
                double(Dispatch[I].N));
   }
-  uint64_t CallHits = Stats.get("backend.vm.ic.call.hits");
-  uint64_t CallMiss = Stats.get("backend.vm.ic.call.misses");
-  uint64_t FieldHits = Stats.get("backend.vm.ic.field.hits");
-  uint64_t FieldMiss = Stats.get("backend.vm.ic.field.misses");
+  uint64_t CallHits = Added("backend.vm.ic.call.hits");
+  uint64_t CallMiss = Added("backend.vm.ic.call.misses");
+  uint64_t FieldHits = Added("backend.vm.ic.field.hits");
+  uint64_t FieldMiss = Added("backend.vm.ic.field.misses");
   auto Pct = [](uint64_t H, uint64_t M) {
     return H + M ? 100.0 * double(H) / double(H + M) : 0.0;
   };
@@ -230,7 +242,7 @@ void runFamily(Family F, uint64_t Seed, double Scale, unsigned Reps) {
   jsonMetric("interp_" + Tag, "vm_effective_steps_per_sec", EffR.Mean);
   jsonMetric("interp_" + Tag, "rate_ratio", RateRatio);
   jsonMetric("interp_" + Tag, "walltime_ratio", TimeRatio);
-  dumpCounters(Comp, Tag);
+  dumpCounters(Comp, Linked, Out.EntryPoints.front(), Tag);
 }
 
 } // namespace

@@ -111,7 +111,7 @@ const char *lopName(LOp Code);
 
 /// One linked instruction: 24 bytes, operands inline or as indices into
 /// the per-program side tables. H caches the dispatch label address for
-/// direct threading (filled by the VM on first execution).
+/// direct threading (filled by the VM on first execution, see Threaded).
 struct LInstr {
   const void *H = nullptr;
   union {
@@ -206,6 +206,11 @@ struct LinkOptions {
   bool Superinstructions = true;
 };
 
+/// Which dispatch labels the VM's threading pass has baked into LInstr::H:
+/// none yet, each opcode's own handler, or the counting stub that every
+/// instruction of a profiled run passes through.
+enum class ThreadedLabels : uint8_t { None, Handlers, CountingStub };
+
 /// The linked program: everything the VM executes, with stable addresses
 /// (deques/unique_ptrs) so inline caches and Imm.P pointers stay valid.
 struct LinkedProgram {
@@ -218,8 +223,9 @@ struct LinkedProgram {
   /// Verifier findings for methods that failed to link (the VM refuses
   /// to run a program with a non-empty list).
   std::vector<VerifyFailure> Failures;
-  /// True once a VM pass has filled LInstr::H with dispatch labels.
-  bool Threaded = false;
+  /// The label set in LInstr::H; a VM re-threads when its profiling mode
+  /// wants the other one.
+  ThreadedLabels Threaded = ThreadedLabels::None;
 
   uint64_t totalInstructions() const {
     uint64_t N = 0;

@@ -8,6 +8,17 @@
 /// through the monomorphic inline caches the linker allocated
 /// (CallSite/FieldSite); a cache hit is one pointer compare.
 ///
+/// A dispatch touches no memory but the instruction it fetches. The step
+/// limit and the 256-step deadline poll share one register countdown
+/// (Fuel) whose slow path, refuel, makes Steps exact and runs only at a
+/// poll, at the first step past the limit and at each step after it.
+/// The operand-stack pointer lives in a register for the whole loop, and
+/// run() builds no strings itself (see "out-of-line work for run()").
+/// The per-opcode histogram and the opcode-pair matrix are gathered only
+/// by a profiled run (enablePairCounts): its instructions are threaded to
+/// a counting stub that records the dispatch and jumps on to the
+/// handler, so an unprofiled run has no profiling branch at all.
+///
 /// Semantics are the tree interpreter's, bit for bit — every error
 /// string, every evaluation-order quirk the bytecode preserves, the
 /// show/equals/conforms mirrors. Where the two engines cannot agree
@@ -215,7 +226,6 @@ public:
       ClassAt.push_back(C.get());
     Modules.resize(ClassAt.size());
     ModuleReady.assign(ClassAt.size(), 0);
-    std::memset(OpCount, 0, sizeof(OpCount));
     // Resolve the stats-registry slots once: finish() runs after every
     // runMain, and repeated executions (bench loops, warmed services)
     // must not pay a map-of-strings walk per guest run. References into
@@ -223,9 +233,6 @@ public:
     // the VM).
     StatsRegistry &S = Comp.stats();
     StepsC = &S.counter("backend.vm.steps");
-    for (size_t I = 0; I < static_cast<size_t>(LOp::NumLOps); ++I)
-      DispatchC[I] = &S.counter(std::string("backend.vm.dispatch.") +
-                                lopName(static_cast<LOp>(I)));
     CallHitsC = &S.counter("backend.vm.ic.call.hits");
     CallMissesC = &S.counter("backend.vm.ic.call.misses");
     FieldHitsC = &S.counter("backend.vm.ic.field.hits");
@@ -241,7 +248,7 @@ public:
     Steps = 0;
     resetCounters();
     Frames.clear();
-    Sp = 0;
+    StackTop = 0;
     PendingError.clear();
 
     if (!LP.Failures.empty()) {
@@ -269,9 +276,8 @@ public:
           return finish();
         }
         ensureStack(8);
-        Sp = 0;
-        Stack[Sp++] = ModV; // result (kept by FrameDropResult)
-        Stack[Sp++] = ModV; // receiver = slot 0
+        Stack[0] = ModV; // result (kept by FrameDropResult)
+        Stack[1] = ModV; // receiver = slot 0
         pushFrame(LC->Ctor, 1, FrameDropResult);
         if (!run())
           return finish();
@@ -301,18 +307,21 @@ public:
       ArgArr->elems()[I] = vStr(internStr(Args[I]));
 
     ensureStack(8);
-    Sp = 0;
-    Stack[Sp++] = ModV;
-    Stack[Sp++] = vArr(ArgArr);
+    Stack[0] = ModV;
+    Stack[1] = vArr(ArgArr);
     pushFrame(M, 0, 0);
     run();
     return finish();
   }
 
   void enablePairCounts() {
-    PairsOn = true;
+    Profiling = true;
     const size_t N = static_cast<size_t>(LOp::NumLOps);
     Pairs.assign(N * N, 0);
+    StatsRegistry &S = Comp.stats();
+    for (size_t I = 0; I < N; ++I)
+      DispatchC[I] = &S.counter(std::string("backend.vm.dispatch.") +
+                                lopName(static_cast<LOp>(I)));
   }
   const std::vector<uint64_t> &pairCounts() const { return Pairs; }
 
@@ -556,8 +565,8 @@ private:
     const uint32_t FirstLocal = 1 + M->NumParams;
     for (size_t I = 0; I < M->LocalDefaults.size(); ++I)
       Slots[FirstLocal + I] = defaultOf(M->LocalDefaults[I]);
-    Sp = Base + M->NumSlots;
-    Frames.push_back({M, 0, Base, Sp, Flags});
+    StackTop = Base + M->NumSlots;
+    Frames.push_back({M, 0, Base, StackTop, Flags});
     ++FramesPushed;
   }
 
@@ -573,12 +582,12 @@ private:
           continue;
         if (!H.IsFinally && !conforms(Exn, H.CatchType))
           continue;
-        Sp = F.StackBase + H.Depth;
-        Stack[Sp++] = Exn;
+        StackTop = F.StackBase + H.Depth;
+        Stack[StackTop++] = Exn;
         F.Pc = H.Entry;
         return true;
       }
-      Sp = F.Base;
+      StackTop = F.Base;
       Frames.pop_back();
     }
     Res.Uncaught = true;
@@ -597,20 +606,56 @@ private:
       for (const LHandler &H : F.M->Handlers) {
         if (At < H.Start || At >= H.End || !H.IsFinally)
           continue;
-        Sp = F.StackBase + H.Depth;
+        StackTop = F.StackBase + H.Depth;
         VMValue Token;
         Token.Kind = VMValue::ErrToken;
-        Stack[Sp++] = Token;
+        Stack[StackTop++] = Token;
         PendingError = std::move(Msg);
         F.Pc = H.Entry;
         return true;
       }
-      Sp = F.Base;
+      StackTop = F.Base;
       Frames.pop_back();
     }
     Res.Uncaught = true;
     Res.Error = std::move(Msg);
     return false;
+  }
+
+  //===--- out-of-line work for run() ------------------------------------===//
+  //
+  // run() calls these instead of building strings itself: a std::string
+  // temporary anywhere in the dispatch loop makes GCC keep its inline
+  // buffer's address in a callee-saved register for the whole loop, and
+  // the loop's own state (stack pointer, slots) then spills to memory.
+
+  template <typename MsgFn>
+  [[gnu::noinline]] bool unwindErrorWith(const MsgFn &Msg) {
+    return unwindError(Msg());
+  }
+  template <typename ExnFn>
+  [[gnu::noinline]] bool unwindGuestWith(const ExnFn &Exn) {
+    return unwindGuest(Exn());
+  }
+
+  [[gnu::noinline]] const std::string *showStr(const VMValue &V) {
+    return internStr(show(V));
+  }
+  [[gnu::noinline]] const std::string *concatStr(const VMValue &L,
+                                                 const VMValue &R) {
+    return internStr(show(L) + show(R));
+  }
+  [[gnu::noinline]] void print(const VMValue &V, bool Newline) {
+    Output += show(V);
+    if (Newline)
+      Output += '\n';
+  }
+
+  /// The message of the VM error a finally block just finished replaying.
+  std::string takePendingError() {
+    std::string Msg = std::move(PendingError);
+    PendingError.clear();
+    return Msg;
   }
 
   //===--- inline-cache field resolution ----------------------------------===//
@@ -642,6 +687,15 @@ private:
 
   //===--- stats ----------------------------------------------------------===//
 
+  /// The counting stub's work: one opcode and one (previous, current)
+  /// pair per dispatch of a profiled run.
+  void countDispatch(LOp Op, size_t &PrevOp) {
+    const size_t Cur = static_cast<size_t>(Op);
+    ++OpCount[Cur];
+    ++Pairs[PrevOp * static_cast<size_t>(LOp::NumLOps) + Cur];
+    PrevOp = Cur;
+  }
+
   void resetCounters() {
     std::memset(OpCount, 0, sizeof(OpCount));
     CallHits = CallMisses = FieldHits = FieldMisses = 0;
@@ -652,8 +706,9 @@ private:
     Res.Output = Output;
     Res.StepsExecuted = Steps;
     *StepsC += Steps;
-    for (size_t I = 0; I < static_cast<size_t>(LOp::NumLOps); ++I)
-      *DispatchC[I] += OpCount[I];
+    if (Profiling)
+      for (size_t I = 0; I < static_cast<size_t>(LOp::NumLOps); ++I)
+        *DispatchC[I] += OpCount[I];
     *CallHitsC += CallHits;
     *CallMissesC += CallMisses;
     *FieldHitsC += FieldHits;
@@ -671,10 +726,14 @@ private:
   CompilerContext &Comp;
   LinkedProgram &LP;
   uint64_t StepLimit;
+  /// Dispatches so far. Exact outside run(); inside, run() counts down a
+  /// local Fuel and the true count is Steps - Fuel (see refuel).
   uint64_t Steps = 0;
 
   std::vector<VMValue> Stack;
-  uint32_t Sp = 0;
+  /// Operand-stack top as pushFrame and the unwinders leave it. run()
+  /// works on a register copy (Sp) that VM_RELOAD refreshes from here.
+  uint32_t StackTop = 0;
   std::vector<VMFrame> Frames;
 
   std::vector<LClass *> ClassAt;
@@ -687,19 +746,21 @@ private:
   std::string PendingError;
   ExecResult Res;
 
-  uint64_t OpCount[static_cast<size_t>(LOp::NumLOps)];
+  // Profiling only (enablePairCounts): filled by the counting stub.
+  uint64_t OpCount[static_cast<size_t>(LOp::NumLOps)] = {};
   uint64_t CallHits = 0, CallMisses = 0;
   uint64_t FieldHits = 0, FieldMisses = 0;
   uint64_t FramesPushed = 0, ObjAllocs = 0, ArrAllocs = 0;
 
-  // Pre-resolved registry slots (see the constructor).
+  // Pre-resolved registry slots (see the constructor; DispatchC is
+  // resolved by enablePairCounts, so unprofiled runs never create it).
   uint64_t *StepsC = nullptr;
   uint64_t *DispatchC[static_cast<size_t>(LOp::NumLOps)] = {};
   uint64_t *CallHitsC = nullptr, *CallMissesC = nullptr;
   uint64_t *FieldHitsC = nullptr, *FieldMissesC = nullptr;
   uint64_t *FramesC = nullptr, *ObjAllocsC = nullptr, *ArrAllocsC = nullptr;
 
-  bool PairsOn = false;
+  bool Profiling = false;
   std::vector<uint64_t> Pairs;
 };
 
@@ -713,41 +774,61 @@ private:
 
 /// Save the caller-visible Pc into the current frame (the unwinder and
 /// callee pushes need it).
-#define VM_SYNC() (Frames.back().Pc = Pc)
+#define VM_SYNC() (Frames.back().Pc = static_cast<uint32_t>(Ip - Code) + 1)
 
-/// Reload the loop-local execution state from the top frame (after any
-/// frame push/pop or stack reallocation).
+/// Reload the loop-local execution state from the top frame and StackTop
+/// (after any frame push/pop or stack reallocation). Ip lands on the
+/// frame's next instruction, so VM_RESUME, not VM_NEXT, continues.
 #define VM_RELOAD()                                                            \
   do {                                                                         \
     VMFrame &F_ = Frames.back();                                               \
     Code = F_.M->Code.data();                                                  \
-    Pc = F_.Pc;                                                                \
+    Ip = Code + F_.Pc;                                                         \
     Base = F_.Base;                                                            \
     Sk = Stack.data();                                                         \
+    Sp = StackTop;                                                             \
+  } while (0)
+
+/// Make Steps exact again. Fuel drops to zero, so the next dispatch takes
+/// the refuel path and recomputes the countdown from the exact count.
+#define VM_SAVE_STEPS()                                                        \
+  do {                                                                         \
+    Steps -= static_cast<uint64_t>(Fuel);                                      \
+    Fuel = 0;                                                                  \
   } while (0)
 
 /// Raise a VM-level error at the current instruction.
 #define VM_TRAP_ERR(MsgExpr)                                                   \
   do {                                                                         \
     VM_SYNC();                                                                 \
-    if (!unwindError(MsgExpr))                                                 \
+    VM_SAVE_STEPS();                                                           \
+    if (!unwindErrorWith([=, this] { return std::string(MsgExpr); }))          \
       return false;                                                            \
     VM_RELOAD();                                                               \
-    goto dispatch;                                                             \
+    VM_RESUME();                                                               \
   } while (0)
 
 /// Throw a guest exception at the current instruction.
 #define VM_TRAP_THROW(ValExpr)                                                 \
   do {                                                                         \
     VM_SYNC();                                                                 \
-    VMValue Exn_ = (ValExpr);                                                  \
-    if (!unwindGuest(Exn_))                                                    \
+    VM_SAVE_STEPS();                                                           \
+    if (!unwindGuestWith([=, this] { return VMValue(ValExpr); }))              \
       return false;                                                            \
     VM_RELOAD();                                                               \
-    goto dispatch;                                                             \
+    VM_RESUME();                                                               \
   } while (0)
 
+/// Continue with the instruction after Ip.
 #define VM_NEXT() goto dispatch
+/// Continue with the instruction Ip already points at.
+#define VM_RESUME() goto fetched
+/// Continue at instruction \p Target of the current method.
+#define VM_JUMP(Target)                                                        \
+  do {                                                                         \
+    Ip = Code + (Target);                                                      \
+    VM_RESUME();                                                               \
+  } while (0)
 
 bool VM::Impl::run() {
 #if MPC_VM_COMPUTED_GOTO
@@ -783,41 +864,42 @@ bool VM::Impl::run() {
   static_assert(sizeof(Labels) / sizeof(Labels[0]) ==
                     static_cast<size_t>(LOp::NumLOps),
                 "label table must cover every opcode");
-  if (!LP.Threaded) {
+  // A profiled run sends every instruction through the counting stub,
+  // which then jumps to the opcode's handler; an unprofiled run jumps
+  // straight to the handler and carries no profiling branch at all.
+  const ThreadedLabels Want =
+      Profiling ? ThreadedLabels::CountingStub : ThreadedLabels::Handlers;
+  if (LP.Threaded != Want) {
     for (const auto &M : LP.Methods)
       for (LInstr &L : M->Code)
-        L.H = Labels[static_cast<size_t>(L.Code)];
-    LP.Threaded = true;
+        L.H = Profiling ? &&count : Labels[static_cast<size_t>(L.Code)];
+    LP.Threaded = Want;
   }
 #endif
 
   const LInstr *Code = nullptr;
   const LInstr *Ip = nullptr;
-  uint32_t Pc = 0;
   uint32_t Base = 0;
   VMValue *Sk = nullptr;
+  uint32_t Sp = 0;
+  // Dispatches left before the refuel slow path must run. Starting at
+  // zero sends the first dispatch there, which sets up the countdown.
+  int64_t Fuel = 0;
   size_t PrevOp = static_cast<size_t>(LOp::Nop);
   VM_RELOAD();
+  VM_RESUME();
 
 dispatch:
-  Ip = Code + Pc++;
-  if (++Steps > StepLimit)
-    VM_TRAP_ERR("step limit exceeded");
-  // Cooperative cancellation, same cadence as the tree interpreter: the
-  // guest program controls how long we run, so poll the deadline every
-  // 256th step. DeadlineExceeded propagates past run() — the result of a
-  // cancelled execution is discarded, never compared.
-  if ((Steps & 255) == 0)
-    Comp.checkpoint();
-  ++OpCount[static_cast<size_t>(Ip->Code)];
-  if (PairsOn) {
-    const size_t Cur = static_cast<size_t>(Ip->Code);
-    Pairs[PrevOp * static_cast<size_t>(LOp::NumLOps) + Cur]++;
-    PrevOp = Cur;
-  }
+  ++Ip;
+fetched:
+  if (--Fuel <= 0)
+    goto refuel;
+execute:
 #if MPC_VM_COMPUTED_GOTO
   goto *const_cast<void *>(Ip->H);
 #else
+  if (Profiling)
+    countDispatch(Ip->Code, PrevOp);
   switch (Ip->Code) {
 #endif
 
@@ -990,7 +1072,7 @@ dispatch:
     VM_SYNC();
     pushFrame(LC->Ctor, Sp - 1, FrameDropResult);
     VM_RELOAD();
-    VM_NEXT();
+    VM_RESUME();
   }
 
   VM_CASE(NewObject) {
@@ -1016,7 +1098,7 @@ dispatch:
     VM_SYNC();
     pushFrame(LC->Ctor, P + 1, FrameDropResult);
     VM_RELOAD();
-    VM_NEXT();
+    VM_RESUME();
   }
 
   VM_CASE(NewBuiltin) {
@@ -1045,7 +1127,7 @@ dispatch:
       // Object methods on primitives, routed by the name class the
       // linker computed (the interpreter compares name text here).
       if (CS.NC == CallSite::IsToString) {
-        VMValue S = vStr(internStr(show(R)));
+        VMValue S = vStr(showStr(R));
         Sp = RecvAt;
         Sk[Sp++] = S;
         VM_NEXT();
@@ -1083,7 +1165,7 @@ dispatch:
     VM_SYNC();
     pushFrame(M, RecvAt, 0);
     VM_RELOAD();
-    VM_NEXT();
+    VM_RESUME();
   }
 
   VM_CASE(InvokeSuperM) {
@@ -1095,7 +1177,7 @@ dispatch:
     VM_SYNC();
     pushFrame(M, RecvAt, 0);
     VM_RELOAD();
-    VM_NEXT();
+    VM_RESUME();
   }
 
   VM_CASE(InvokeSuperUnit) {
@@ -1262,8 +1344,7 @@ dispatch:
   VM_CASE(Concat) {
     const VMValue R = Sk[--Sp];
     const VMValue L = Sk[--Sp];
-    Sk[Sp++] = vStr(internStr(show(L) + show(R)));
-    Sk = Stack.data();
+    Sk[Sp++] = vStr(concatStr(L, R));
     VM_NEXT();
   }
 
@@ -1359,8 +1440,7 @@ dispatch:
   VM_CASE(Println) {
     const VMValue A = Sk[--Sp];
     --Sp; // the Predef module reference
-    Output += show(A);
-    Output += '\n';
+    print(A, /*Newline=*/true);
     Sk[Sp++] = VMValue();
     VM_NEXT();
   }
@@ -1368,7 +1448,7 @@ dispatch:
   VM_CASE(Print) {
     const VMValue A = Sk[--Sp];
     --Sp;
-    Output += show(A);
+    print(A, /*Newline=*/false);
     Sk[Sp++] = VMValue();
     VM_NEXT();
   }
@@ -1389,8 +1469,7 @@ dispatch:
 
   VM_CASE(ValueToString) {
     const VMValue Q = Sk[--Sp];
-    Sk[Sp++] = vStr(internStr(show(Q)));
-    Sk = Stack.data();
+    Sk[Sp++] = vStr(showStr(Q));
     VM_NEXT();
   }
 
@@ -1401,14 +1480,13 @@ dispatch:
   }
 
   VM_CASE(Jump) {
-    Pc = Ip->A;
-    VM_NEXT();
+    VM_JUMP(Ip->A);
   }
 
   VM_CASE(JumpIfFalse) {
     const VMValue C = Sk[--Sp];
     if (!truthy(C))
-      Pc = Ip->A;
+      VM_JUMP(Ip->A);
     VM_NEXT();
   }
 
@@ -1416,9 +1494,7 @@ dispatch:
     VMValue V = Sk[--Sp];
     if (V.Kind == VMValue::ErrToken) {
       // A finally block finished replaying a VM error: resume its unwind.
-      std::string Msg = std::move(PendingError);
-      PendingError.clear();
-      VM_TRAP_ERR(std::move(Msg));
+      VM_TRAP_ERR(takePendingError());
     }
     VM_TRAP_THROW(V);
   }
@@ -1431,10 +1507,13 @@ dispatch:
     if (!(F.Flags & FrameDropResult))
       Sk[Sp++] = V;
     // else: the object stashed at Base - 1 is already on top.
-    if (Frames.empty())
+    StackTop = Sp;
+    if (Frames.empty()) {
+      VM_SAVE_STEPS();
       return true;
+    }
     VM_RELOAD();
-    VM_NEXT();
+    VM_RESUME();
   }
 
   VM_CASE(Pop) {
@@ -1497,7 +1576,7 @@ dispatch:
     const VMValue R = Sk[--Sp];                                                \
     const VMValue L = Sk[--Sp];                                                \
     if (!(numOf(L) OpTok numOf(R)))                                            \
-      Pc = Ip->A;                                                              \
+      VM_JUMP(Ip->A);                                                          \
     VM_NEXT();                                                                 \
   }
 
@@ -1511,7 +1590,7 @@ dispatch:
     const VMValue R = Sk[--Sp];
     const VMValue L = Sk[--Sp];
     if (!valueEquals(L, R))
-      Pc = Ip->A;
+      VM_JUMP(Ip->A);
     VM_NEXT();
   }
 
@@ -1519,7 +1598,7 @@ dispatch:
     const VMValue R = Sk[--Sp];
     const VMValue L = Sk[--Sp];
     if (valueEquals(L, R))
-      Pc = Ip->A;
+      VM_JUMP(Ip->A);
     VM_NEXT();
   }
 
@@ -1592,7 +1671,38 @@ dispatch:
     VM_TRAP_ERR("corrupt opcode");
   }
 #endif
-  return true; // unreachable: every opcode body jumps or returns
+
+  // The step counter's slow path. Fuel ran out, so the dispatch at Ip is
+  // one the plain countdown may not cover: the 256th-step deadline poll,
+  // the first step past the limit, or (after a trap set Fuel to zero)
+  // any step after it. Steps becomes exact here; the next countdown
+  // stops at whichever of the next poll and the first step past the
+  // limit comes first.
+refuel:
+  Steps += static_cast<uint64_t>(-Fuel);
+  Fuel = 0;
+  if (Steps > StepLimit)
+    VM_TRAP_ERR("step limit exceeded");
+  // Cooperative cancellation, same cadence as the tree interpreter: the
+  // guest program controls how long we run, so poll the deadline every
+  // 256th step. DeadlineExceeded propagates past run() — the result of a
+  // cancelled execution is discarded, never compared.
+  if ((Steps & 255) == 0)
+    Comp.checkpoint();
+  {
+    uint64_t Room = 256 - (Steps & 255);
+    if (StepLimit - Steps < Room)
+      Room = StepLimit - Steps + 1;
+    Fuel = static_cast<int64_t>(Room);
+    Steps += Room;
+  }
+  goto execute;
+
+#if MPC_VM_COMPUTED_GOTO
+count:
+  countDispatch(Ip->Code, PrevOp);
+  goto *Labels[static_cast<size_t>(Ip->Code)];
+#endif
 }
 
 //===--- public API --------------------------------------------------------===//

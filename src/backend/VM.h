@@ -42,16 +42,20 @@ public:
   /// Runs `main(args)` on the entry-point symbol. Cooperative
   /// cancellation mirrors the interpreter: every 256th step polls the
   /// context's CancelToken, and DeadlineExceeded propagates out.
-  /// Flushes backend.vm.* counters (dispatch per opcode, inline-cache
-  /// hits/misses, frames, allocations) into the context's stats.
+  /// Flushes backend.vm.* counters (steps, inline-cache hits/misses,
+  /// frames, allocations; dispatches per opcode only when profiling)
+  /// into the context's stats.
   ExecResult runMain(Symbol *EntryPoint,
                      const std::vector<std::string> &Args = {});
 
-  /// Enables dynamic opcode-pair counting (a NumLOps x NumLOps matrix of
-  /// (previous, current) dispatch counts). Adds a branch to the dispatch
-  /// loop; used by bench_interp --pairs to measure which pairs are worth
-  /// fusing into superinstructions. Count rows are read back with
-  /// pairCounts().
+  /// Turns profiling on for this VM's runs: every dispatch is counted per
+  /// opcode (the backend.vm.dispatch.<op> counters, which unprofiled runs
+  /// neither fill nor create) and per (previous, current) opcode pair (a
+  /// NumLOps x NumLOps matrix read back with pairCounts()). The program is
+  /// re-threaded through a counting stub, so profiled dispatch is slower
+  /// and unprofiled dispatch pays nothing. bench_interp uses it for its
+  /// dispatch breakdown and, with --pairs, to measure which pairs are
+  /// worth fusing into superinstructions.
   void enablePairCounts();
   const std::vector<uint64_t> &pairCounts() const;
 

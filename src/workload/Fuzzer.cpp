@@ -32,6 +32,38 @@ std::string mpc::renderDiags(const DiagnosticEngine &Diags) {
   return S;
 }
 
+namespace {
+
+std::string diffOutcomes(const FuzzOutcome &A, const FuzzOutcome &B) {
+  std::string D;
+  if (A.Crashed != B.Crashed)
+    D += "crashed " + std::to_string(A.Crashed) + " vs " +
+         std::to_string(B.Crashed) + "; ";
+  if (A.HasErrors != B.HasErrors)
+    D += "hasErrors " + std::to_string(A.HasErrors) + " vs " +
+         std::to_string(B.HasErrors) + "; ";
+  if (A.DiagText != B.DiagText)
+    D += "diagnostics differ:\n--- first\n" + A.DiagText +
+         "--- second\n" + B.DiagText;
+  if (A.Output != B.Output)
+    D += "program output differs:\n--- first\n" + A.Output +
+         "--- second\n" + B.Output;
+  if (A.Uncaught != B.Uncaught || A.Error != B.Error)
+    D += "error state differs: '" + A.Error + "' vs '" + B.Error + "'; ";
+  if (A.EngineDiff != B.EngineDiff)
+    D += "engine agreement differs:\n--- first\n" + A.EngineDiff +
+         "\n--- second\n" + B.EngineDiff;
+  return D;
+}
+
+void setRun(FuzzOutcome &O, const ExecResult &R) {
+  O.Output = R.Output;
+  O.Uncaught = R.Uncaught;
+  O.Error = R.Uncaught ? R.Error : "";
+}
+
+} // namespace
+
 FuzzOutcome mpc::runPipelineOnce(CompilerContext &Comp,
                                  std::vector<SourceInput> Sources) {
   FuzzOutcome O;
@@ -41,15 +73,17 @@ FuzzOutcome mpc::runPipelineOnce(CompilerContext &Comp,
     O.HasErrors = Comp.diags().hasErrors();
     O.DiagText = renderDiags(Comp.diags());
     if (!O.HasErrors && !Out.EntryPoints.empty()) {
-      // Engine selection flows from the context's options, so the same
-      // fuzz harness exercises the tree-walker or the bytecode VM.
-      ExecResult R =
-          executeProgram(Comp, Out.Units, Out.Prog, Out.EntryPoints.front(),
-                         execOptionsFrom(Comp));
-      O.Output = R.Output;
-      O.Uncaught = R.Uncaught;
-      if (R.Uncaught)
-        O.Error = R.Error;
+      // Both engines run every program: the tree-walker is the oracle
+      // and gives the outcome, and the bytecode VM must agree with it.
+      ExecOptions Opts = execOptionsFrom(Comp);
+      Opts.Engine = ExecEngine::TreeWalk;
+      setRun(O, executeProgram(Comp, Out.Units, Out.Prog,
+                               Out.EntryPoints.front(), Opts));
+      FuzzOutcome OnVM = O;
+      Opts.Engine = ExecEngine::VM;
+      setRun(OnVM, executeProgram(Comp, Out.Units, Out.Prog,
+                                  Out.EntryPoints.front(), Opts));
+      O.EngineDiff = diffOutcomes(O, OnVM);
     }
   } catch (const std::exception &E) {
     O.Crashed = true;
@@ -73,25 +107,6 @@ FuzzOutcome runCold(const FuzzCase &C) {
   return runPipelineOnce(Comp, generateFamily(C.F, C.Seed, C.Scale));
 }
 
-std::string diffOutcomes(const FuzzOutcome &A, const FuzzOutcome &B) {
-  std::string D;
-  if (A.Crashed != B.Crashed)
-    D += "crashed " + std::to_string(A.Crashed) + " vs " +
-         std::to_string(B.Crashed) + "; ";
-  if (A.HasErrors != B.HasErrors)
-    D += "hasErrors " + std::to_string(A.HasErrors) + " vs " +
-         std::to_string(B.HasErrors) + "; ";
-  if (A.DiagText != B.DiagText)
-    D += "diagnostics differ:\n--- first\n" + A.DiagText +
-         "--- second\n" + B.DiagText;
-  if (A.Output != B.Output)
-    D += "program output differs:\n--- first\n" + A.Output +
-         "--- second\n" + B.Output;
-  if (A.Uncaught != B.Uncaught || A.Error != B.Error)
-    D += "error state differs: '" + A.Error + "' vs '" + B.Error + "'; ";
-  return D;
-}
-
 } // namespace
 
 FuzzOutcome mpc::runFuzzCase(const FuzzCase &C, FuzzStats &Stats) {
@@ -101,6 +116,10 @@ FuzzOutcome mpc::runFuzzCase(const FuzzCase &C, FuzzStats &Stats) {
   if (Cold.Crashed)
     Stats.Violations.push_back(
         {C, "crash", caseLabel(C) + ": " + Cold.Error});
+  if (!Cold.EngineDiff.empty())
+    Stats.Violations.push_back(
+        {C, "engine-mismatch",
+         caseLabel(C) + ": tree-walker first, VM second: " + Cold.EngineDiff});
   if (Cold.HasErrors)
     ++Stats.ErrorCompiles;
   else

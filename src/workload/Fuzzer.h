@@ -3,14 +3,17 @@
 /// \file
 /// Deterministic full-pipeline fuzzing harness. Feeds seeded generator
 /// families (valid and adversarial) through lex -> parse -> type ->
-/// transforms -> interpreter and checks the totality properties the
+/// transforms -> execution and checks the totality properties the
 /// compile service depends on:
 ///
 ///   1. no input crashes the compiler — invalid programs produce
 ///      diagnostics, never aborts or unhandled exceptions;
 ///   2. diagnostics and program output are deterministic — two cold runs
 ///      of the same seed are byte-identical;
-///   3. valid families compile cleanly and their programs run to output.
+///   3. valid families compile cleanly and their programs run to output;
+///   4. the engines agree — every program that runs gives the same
+///      output, uncaught flag and error text on the tree-walker and on
+///      the bytecode VM.
 ///
 /// Every case is reproducible from (family, seed, scale) alone; a failure
 /// report names all three.
@@ -41,14 +44,16 @@ struct FuzzOutcome {
   bool Crashed = false;   // an exception escaped the pipeline
   bool HasErrors = false; // frontend reported diagnostics
   std::string DiagText;   // rendered diagnostics, stable format
-  std::string Output;     // interpreter stdout (clean compiles only)
-  bool Uncaught = false;  // interpreter uncaught MiniScala exception
+  std::string Output;     // tree-walker stdout (clean compiles only)
+  bool Uncaught = false;  // tree-walker uncaught MiniScala exception
   std::string Error;      // crash / uncaught-exception message
+  std::string EngineDiff; // how the VM's run differs; empty if it agrees
 
   bool operator==(const FuzzOutcome &O) const {
     return Crashed == O.Crashed && HasErrors == O.HasErrors &&
            DiagText == O.DiagText && Output == O.Output &&
-           Uncaught == O.Uncaught && Error == O.Error;
+           Uncaught == O.Uncaught && Error == O.Error &&
+           EngineDiff == O.EngineDiff;
   }
 };
 
@@ -56,7 +61,7 @@ struct FuzzOutcome {
 struct FuzzViolation {
   FuzzCase Case;
   std::string Kind; // "crash" | "valid-family-rejected" |
-                    // "nondeterministic"
+                    // "nondeterministic" | "engine-mismatch"
   std::string Detail;
 };
 
@@ -76,7 +81,8 @@ struct FuzzStats {
 std::string renderDiags(const DiagnosticEngine &Diags);
 
 /// Compiles \p Sources on \p Comp with the standard fused pipeline and,
-/// when the compile is clean and has an entry point, interprets it.
+/// when the compile is clean and has an entry point, runs it on the
+/// tree-walker (the outcome) and on the bytecode VM (EngineDiff).
 /// Exceptions are captured into the outcome instead of escaping. All
 /// pipeline outputs are destroyed before this returns.
 FuzzOutcome runPipelineOnce(CompilerContext &Comp,

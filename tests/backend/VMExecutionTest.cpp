@@ -5,8 +5,9 @@
 // every valid generator family across a seed sweep, with superinstruction
 // fusion both on and off. Directed cases pin the behaviours the sweep is
 // unlikely to hit on every seed: try/finally interleavings, VM-raised
-// errors crossing finalizers, step-limit traps, deadline cancellation
-// mid-loop, and the verifier-refusal path.
+// errors crossing finalizers, step-limit traps and exact step accounting,
+// deadline cancellation mid-loop, the verifier-refusal path, and
+// profiling that changes nothing but its own counters.
 //
 // Sharded via GTEST_TOTAL_SHARDS/GTEST_SHARD_INDEX (see CMakeLists).
 //===----------------------------------------------------------------------===//
@@ -20,6 +21,8 @@
 #include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace mpc;
 
@@ -410,6 +413,58 @@ object Main {
   EXPECT_EQ(BV.Error, "step limit exceeded");
 }
 
+/// Runs the fused VM and returns the raw result (StepsExecuted included).
+ExecResult runVMResult(CompilerContext &Comp, const CompileOutput &Out,
+                       uint64_t StepLimit) {
+  LinkedProgram Linked = linkProgram(Out.Prog, Comp, {});
+  VM M(Comp, Linked, StepLimit);
+  return M.runMain(Out.EntryPoints.front());
+}
+
+TEST(VMStepAccounting, LimitEqualToStepCountIsExact) {
+  // A program that needs N dispatches runs clean at StepLimit = N with
+  // the same output and the same count, and traps at N - 1: the limit
+  // is exact, not rounded to the deadline-poll cadence.
+  for (Family F : validFamilies()) {
+    SCOPED_TRACE(familyName(F));
+    CompilerContext Comp;
+    CompileOutput Out = compile(Comp, generateFamily(F, 3, 0.2));
+    ASSERT_FALSE(Out.EntryPoints.empty());
+    ExecResult Full = runVMResult(Comp, Out, 50'000'000);
+    ASSERT_FALSE(Full.Uncaught) << Full.Error;
+    const uint64_t N = Full.StepsExecuted;
+    ASSERT_GT(N, 1u);
+
+    ExecResult AtN = runVMResult(Comp, Out, N);
+    EXPECT_FALSE(AtN.Uncaught) << AtN.Error;
+    EXPECT_EQ(AtN.Output, Full.Output);
+    EXPECT_EQ(AtN.StepsExecuted, N);
+
+    ExecResult Under = runVMResult(Comp, Out, N - 1);
+    EXPECT_TRUE(Under.Uncaught);
+    EXPECT_EQ(Under.Error, "step limit exceeded");
+    EXPECT_EQ(Under.StepsExecuted, N);
+  }
+}
+
+TEST(VMStepAccounting, InfiniteLoopTrapsAtTheStepPastTheLimit) {
+  // Limits on both sides of the 256-step poll boundary: the trapping
+  // dispatch is counted, so StepsExecuted is always StepLimit + 1.
+  CompilerContext Comp;
+  std::vector<SourceInput> Sources;
+  Sources.push_back({"vm.scala", InfiniteLoop});
+  CompileOutput Out = compile(Comp, std::move(Sources));
+  ASSERT_FALSE(Out.EntryPoints.empty());
+  const std::pair<uint64_t, uint64_t> Pins[] = {
+      {1, 2}, {255, 256}, {256, 257}, {257, 258}, {20'000, 20'001}};
+  for (const auto &[Limit, Steps] : Pins) {
+    ExecResult R = runVMResult(Comp, Out, Limit);
+    EXPECT_TRUE(R.Uncaught) << "limit " << Limit;
+    EXPECT_EQ(R.Error, "step limit exceeded") << "limit " << Limit;
+    EXPECT_EQ(R.StepsExecuted, Steps) << "limit " << Limit;
+  }
+}
+
 TEST(VMDirected, DeadlineCancellationMidLoop) {
   // A cancelled token must stop a guest infinite loop via the dispatch
   // loop's polling — the VM honors the context's CancelToken exactly
@@ -539,6 +594,136 @@ object Main {
   uint64_t LoadThenLoad = Pairs[static_cast<size_t>(LOp::LoadSlot) * N +
                                 static_cast<size_t>(LOp::LoadSlot)];
   EXPECT_GT(LoadThenLoad, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Directed: profiling (enablePairCounts) changes nothing but its counters
+//===----------------------------------------------------------------------===//
+
+/// The VM counters every run fills, profiled or not.
+const char *const AlwaysOnCounters[] = {
+    "backend.vm.steps",          "backend.vm.frames",
+    "backend.vm.ic.call.hits",   "backend.vm.ic.call.misses",
+    "backend.vm.ic.field.hits",  "backend.vm.ic.field.misses",
+    "backend.vm.alloc.objects",  "backend.vm.alloc.arrays"};
+
+constexpr const char *DispatchPrefix = "backend.vm.dispatch.";
+
+struct ProfileRun {
+  ExecResult Res;
+  std::map<std::string, uint64_t> Added; // backend.vm.* deltas of the run
+  std::vector<uint64_t> Pairs;
+  uint64_t dispatchTotal() const {
+    uint64_t N = 0;
+    for (const auto &[Key, V] : Added)
+      if (Key.rfind(DispatchPrefix, 0) == 0)
+        N += V;
+    return N;
+  }
+};
+
+ProfileRun runProfiled(CompilerContext &Comp, LinkedProgram &Linked,
+                       Symbol *Entry, bool Profile) {
+  StatsRegistry Before = Comp.stats();
+  VM M(Comp, Linked);
+  if (Profile)
+    M.enablePairCounts();
+  ProfileRun R;
+  R.Res = M.runMain(Entry);
+  for (const auto &[Key, N] : Comp.stats().all())
+    if (Key.rfind("backend.vm.", 0) == 0 && N != Before.get(Key))
+      R.Added[Key] = N - Before.get(Key);
+  R.Pairs = M.pairCounts();
+  return R;
+}
+
+void expectSameRun(const ExecResult &A, const ExecResult &B) {
+  EXPECT_EQ(A.Output, B.Output);
+  EXPECT_EQ(A.Uncaught, B.Uncaught);
+  EXPECT_EQ(A.Error, B.Error);
+  EXPECT_EQ(A.StepsExecuted, B.StepsExecuted);
+}
+
+const char *ProfiledSource = R"(
+class Boom(val code: Int) extends Throwable
+class Cell(var v: Int) { def bump(d: Int): Int = { v = v + d; v } }
+object Main {
+  var log: Int = 0
+  def risky(n: Int): Int = if (n % 7 == 3) throw new Boom(n) else n
+  def main(args: Array[String]): Unit = {
+    val c = new Cell(0)
+    var i = 0
+    var sum = 0
+    while (i < 300) {
+      sum = sum + (try risky(i) catch { case b: Boom => c.bump(b.code) }
+                   finally { log = log + 1 })
+      i = i + 1
+    }
+    println(sum)
+    println(log)
+    println(c.v)
+  }
+}
+)";
+
+TEST(VMProfiling, CountersOnlyAppearWhenProfiling) {
+  std::vector<std::vector<SourceInput>> Programs;
+  for (Family F : validFamilies())
+    Programs.push_back(generateFamily(F, 5, 0.2));
+  Programs.push_back({{"vm.scala", ProfiledSource}});
+  for (std::vector<SourceInput> &Sources : Programs) {
+    SCOPED_TRACE(Sources.front().FileName);
+    CompilerContext Comp;
+    CompileOutput Out = compile(Comp, std::move(Sources));
+    ASSERT_FALSE(Out.EntryPoints.empty());
+    // Each mode links its own copy, so both start from cold inline caches.
+    LinkedProgram Plain = linkProgram(Out.Prog, Comp, {});
+    ProfileRun Off = runProfiled(Comp, Plain, Out.EntryPoints.front(), false);
+    for (const auto &[Key, N] : Comp.stats().all())
+      EXPECT_NE(Key.rfind(DispatchPrefix, 0), 0u)
+          << Key << " exists after an unprofiled run";
+
+    LinkedProgram Counted = linkProgram(Out.Prog, Comp, {});
+    ProfileRun On = runProfiled(Comp, Counted, Out.EntryPoints.front(), true);
+    ASSERT_FALSE(On.Res.Uncaught) << On.Res.Error;
+    expectSameRun(Off.Res, On.Res);
+    for (const char *Key : AlwaysOnCounters)
+      EXPECT_EQ(Off.Added[Key], On.Added[Key]) << Key;
+    EXPECT_EQ(On.dispatchTotal(), On.Added["backend.vm.steps"]);
+    EXPECT_EQ(On.Added["backend.vm.steps"], On.Res.StepsExecuted);
+  }
+}
+
+TEST(VMProfiling, OneProgramRethreadsBetweenModes) {
+  // Profiled, unprofiled, profiled again on one LinkedProgram: each VM
+  // installs the label set its mode needs, and the results agree.
+  CompilerContext Comp;
+  std::vector<SourceInput> Sources;
+  Sources.push_back({"vm.scala", ProfiledSource});
+  CompileOutput Out = compile(Comp, std::move(Sources));
+  ASSERT_FALSE(Out.EntryPoints.empty());
+  LinkedProgram Linked = linkProgram(Out.Prog, Comp, {});
+  Symbol *Entry = Out.EntryPoints.front();
+
+  ProfileRun First = runProfiled(Comp, Linked, Entry, true);
+  ProfileRun Plain = runProfiled(Comp, Linked, Entry, false);
+  ProfileRun Again = runProfiled(Comp, Linked, Entry, true);
+  ASSERT_FALSE(First.Res.Uncaught) << First.Res.Error;
+  EXPECT_EQ(fromResult(First.Res), runTreeWalk(Comp, Out));
+  expectSameRun(First.Res, Plain.Res);
+  expectSameRun(First.Res, Again.Res);
+
+  EXPECT_EQ(First.dispatchTotal(), First.Res.StepsExecuted);
+  EXPECT_EQ(Plain.dispatchTotal(), 0u);
+  for (const auto &[Key, N] : First.Added) {
+    if (Key.rfind(DispatchPrefix, 0) == 0) {
+      EXPECT_EQ(N, Again.Added[Key]) << Key;
+    }
+  }
+  EXPECT_EQ(First.Pairs, Again.Pairs);
+  // The warm inline caches make the second and third runs hit alike.
+  for (const char *Key : AlwaysOnCounters)
+    EXPECT_EQ(Plain.Added[Key], Again.Added[Key]) << Key;
 }
 
 } // namespace

@@ -3,7 +3,8 @@
 //
 // Runs seeded generator families (valid and adversarial) through the whole
 // compiler and checks the totality properties (no crashes, deterministic
-// diagnostics across two cold runs, valid families compile and run).
+// diagnostics across two cold runs, valid families compile and run, and
+// every program that runs agrees between the tree-walker and the VM).
 // Every case replays from its (family, seed, scale) triple:
 //
 //   mpc_fuzz --seeds 10000                    # full campaign
@@ -30,7 +31,9 @@ void usage() {
       stderr,
       "usage: mpc_fuzz [options]\n"
       "Compiles each case twice in fresh contexts and reports crashes,\n"
-      "nondeterministic output, and rejected valid-family programs.\n"
+      "nondeterministic output, and rejected valid-family programs. Each\n"
+      "program that compiles runs on the tree-walker and on the bytecode\n"
+      "VM; any difference in output or error is an engine-mismatch.\n"
       "  --seeds N        number of seeds per family (default 100)\n"
       "  --start N        first seed (default 0)\n"
       "  --scale F        program size scale (default 0.25)\n"
@@ -135,7 +138,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Stats.DiagsSeen));
   if (Stats.ok()) {
     std::printf("mpc_fuzz: all properties held (no crashes, deterministic, "
-                "valid families accepted)\n");
+                "valid families accepted, engines agree)\n");
     return 0;
   }
   std::printf("mpc_fuzz: %zu violations\n", Stats.Violations.size());

@@ -2,25 +2,6 @@
 
 using namespace mpc;
 
-void mpc::forEachSubtree(Tree *T, const std::function<void(Tree *)> &Fn) {
-  if (!T)
-    return;
-  Fn(T);
-  for (const TreePtr &K : T->kids())
-    forEachSubtree(K.get(), Fn);
-}
-
-bool mpc::anySubtree(Tree *T, const std::function<bool(Tree *)> &Pred) {
-  if (!T)
-    return false;
-  if (Pred(T))
-    return true;
-  for (const TreePtr &K : T->kids())
-    if (anySubtree(K.get(), Pred))
-      return true;
-  return false;
-}
-
 uint64_t mpc::countNodes(Tree *T) {
   if (!T)
     return 0;

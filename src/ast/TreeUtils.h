@@ -11,16 +11,29 @@
 
 #include "ast/Trees.h"
 
-#include <functional>
-
 namespace mpc {
 
 /// Calls \p Fn on every node of the subtree rooted at \p T (preorder,
 /// including \p T itself). Null children are skipped.
-void forEachSubtree(Tree *T, const std::function<void(Tree *)> &Fn);
+template <typename FnT> void forEachSubtree(Tree *T, FnT &&Fn) {
+  if (!T)
+    return;
+  Fn(T);
+  for (const TreePtr &K : T->kids())
+    forEachSubtree(K.get(), Fn);
+}
 
 /// Returns true if \p Pred holds for any node of the subtree.
-bool anySubtree(Tree *T, const std::function<bool(Tree *)> &Pred);
+template <typename PredT> bool anySubtree(Tree *T, PredT &&Pred) {
+  if (!T)
+    return false;
+  if (Pred(T))
+    return true;
+  for (const TreePtr &K : T->kids())
+    if (anySubtree(K.get(), Pred))
+      return true;
+  return false;
+}
 
 /// Number of nodes in the subtree (nulls not counted).
 uint64_t countNodes(Tree *T);

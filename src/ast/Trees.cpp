@@ -327,6 +327,14 @@ TreePtr TreeContext::withNewChildrenForced(Tree *T, TreeList NewKids) {
   return withNewChildrenForced(T, NewKids.data(), NewKids.size());
 }
 
+TreePtr TreeContext::withNewChildrenAndType(Tree *T, TreePtr *NewKids,
+                                            size_t N, const Type *Ty) {
+  assert(T && "withNewChildrenAndType on null tree");
+  assert(N == T->numKids() && "withNewChildrenAndType must preserve arity");
+  ++NumRebuilt;
+  return rebuildNode(T, KidSpan(NewKids, N), Ty);
+}
+
 TreePtr TreeContext::withType(Tree *T, const Type *NewTy) {
   assert(T && "withType on null tree");
   if (T->type() == NewTy) {

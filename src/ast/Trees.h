@@ -81,7 +81,7 @@ public:
   bool contains(TreeKind K) const { return (Bits & bit(K)) != 0; }
   void insert(TreeKind K) { Bits |= bit(K); }
   bool empty() const { return Bits == 0; }
-  uint32_t bits() const { return Bits; }
+  constexpr uint32_t bits() const { return Bits; }
 
 private:
   static constexpr uint32_t bit(TreeKind K) {
@@ -841,6 +841,12 @@ public:
   /// Used by the typer's adaptation steps. Shares the children with the
   /// original by reference (no intermediate list copy).
   TreePtr withType(Tree *T, const Type *NewTy);
+
+  /// withNewChildrenForced and withType in one rebuild: a fresh node of
+  /// \p T's kind and payload with \p NewKids (moved from) and type \p Ty.
+  /// Counted as a rebuild.
+  TreePtr withNewChildrenAndType(Tree *T, TreePtr *NewKids, size_t N,
+                                 const Type *Ty);
 
   /// Statistics: how often withNewChildren reused vs. rebuilt.
   uint64_t reuseCount() const { return NumReused; }

@@ -11,7 +11,6 @@
 #include "ast/TreeUtils.h"
 #include "transforms/TransformUtils.h"
 
-#include <functional>
 
 using namespace mpc;
 

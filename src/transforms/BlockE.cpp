@@ -11,8 +11,6 @@
 #include "transforms/TransformUtils.h"
 #include "transforms/TreeClone.h"
 
-#include <functional>
-
 using namespace mpc;
 
 //===----------------------------------------------------------------------===//
@@ -57,23 +55,28 @@ void LambdaLiftPhase::prepareForUnit(PhaseRunContext &Ctx) {
   };
   std::map<Symbol *, Info> Locals;
 
-  std::function<void(Tree *, ClassSymbol *)> Scan =
-      [&](Tree *T, ClassSymbol *Host) {
-        if (!T)
-          return;
-        if (auto *CD = dyn_cast<ClassDef>(T))
-          Host = CD->sym();
-        if (auto *DD = dyn_cast<DefDef>(T)) {
-          Symbol *S = DD->sym();
-          // Scan the whole definition (params included) so the method's
-          // own parameters are not counted as free.
-          if (S->is(SymFlag::Local) && S->isMethod())
-            Locals[S] = {DD, Host, freeLocals(DD), {}};
-        }
-        for (const TreePtr &K : T->kids())
-          Scan(K.get(), Host);
-      };
-  Scan(Ctx.Unit.Root.get(), nullptr);
+  // Subtrees with no DefDef below them hold no local method to find.
+  struct Scanner {
+    std::map<Symbol *, Info> &Locals;
+
+    void scan(Tree *T, ClassSymbol *Host) {
+      if ((T->kindsBelow() & KindSet{TreeKind::DefDef}.bits()) == 0)
+        return;
+      if (auto *CD = dyn_cast<ClassDef>(T))
+        Host = CD->sym();
+      if (auto *DD = dyn_cast<DefDef>(T)) {
+        Symbol *S = DD->sym();
+        // Scan the whole definition (params included) so the method's
+        // own parameters are not counted as free.
+        if (S->is(SymFlag::Local) && S->isMethod())
+          Locals[S] = {DD, Host, freeLocals(DD), {}};
+      }
+      for (const TreePtr &K : T->kids())
+        if (K)
+          scan(K.get(), Host);
+    }
+  };
+  Scanner{Locals}.scan(Ctx.Unit.Root.get(), nullptr);
 
   // Call edges (references to other local methods inside each body).
   for (auto &[Sym, I] : Locals) {

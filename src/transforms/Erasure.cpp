@@ -6,7 +6,24 @@
 /// modifies the types of many trees and mutates the global symbol table,
 /// which is why it cannot be fused with other phases: it violates fusion
 /// rule 2 (later phases could not handle half-erased trees) and rule 3
-/// (it assumes Splitter finished the entire compilation unit).
+/// (it assumes Splitter finished the entire compilation unit). It stays
+/// one whole-tree walk of its own, so it is written to cost what it
+/// changes:
+///
+///   * copy-on-change — every node kind, Select, Apply, New, SeqLiteral
+///     and TypeApply included, is returned by pointer when its erased
+///     children, erased type and erased payload types (class type,
+///     element type, type arguments) equal the originals; only erased
+///     nodes and their ancestors are rebuilt. The Typed casts that make a
+///     refined static type explicit are inserted exactly as before, around
+///     the kept node when it is kept;
+///   * stack-shaped child scratch — the erased children of a node go into
+///     one per-unit buffer (as in FusedBlock::walk) and are moved straight
+///     into a rebuilt node, so no list is allocated per visited node;
+///   * a per-run type memo — TypeContext hash-conses every type, so the
+///     erased form of a type is cached by address in a FlatPtrMap shared
+///     by the symbol-info rewrite and the tree walk. The static eraseType
+///     stays the uncached reference function.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,116 +120,138 @@ const Type *ErasurePhase::eraseType(const Type *T, CompilerContext &Comp) {
   return T;
 }
 
+const Type *ErasurePhase::erased(const Type *T, CompilerContext &Comp) {
+  if (!T)
+    return nullptr;
+  // Primitives and unparameterized classes, most node types, erase to
+  // themselves without a memo probe.
+  if (T->kind() == TypeKind::Primitive ||
+      (T->kind() == TypeKind::Class && cast<ClassType>(T)->args().empty()))
+    return T;
+  if (const Type **Hit = ErasedTypes.find(T))
+    return *Hit;
+  const Type *E = eraseType(T, Comp);
+  ErasedTypes.insert(T, E);
+  return E;
+}
+
 void ErasurePhase::eraseSymbolInfos(CompilerContext &Comp) {
   for (const auto &Owned : Comp.syms().allSymbols()) {
     Symbol *S = Owned.get();
     if (S->is(SymFlag::TypeParam))
       continue;
     if (const Type *Info = S->info())
-      S->setInfo(eraseType(Info, Comp));
+      S->setInfo(erased(Info, Comp));
   }
 }
 
-TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp) {
+TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp,
+                                std::vector<TreePtr> &KidScratch) {
   TreeContext &Trees = Comp.trees();
 
-  // Erase children first (postorder, like any other phase).
-  TreeList NewKids;
-  NewKids.reserve(T->numKids());
+  // Erase children first (postorder, like any other phase) into the
+  // stack-shaped scratch; slots are indexed from Base because recursion
+  // may grow (and reallocate) the buffer.
+  unsigned N = T->numKids();
+  size_t Base = KidScratch.size();
   bool KidsChanged = false;
-  for (const TreePtr &K : T->kids()) {
-    if (!K) {
-      NewKids.push_back(nullptr);
-      continue;
-    }
-    TreePtr NK = eraseTree(K.get(), Comp);
-    if (NK.get() != K.get())
+  for (unsigned I = 0; I < N; ++I) {
+    Tree *Kid = T->kid(I);
+    TreePtr NK = Kid ? eraseTree(Kid, Comp, KidScratch) : TreePtr();
+    if (NK.get() != Kid)
       KidsChanged = true;
-    NewKids.push_back(std::move(NK));
+    KidScratch.push_back(std::move(NK));
   }
+  TreePtr *Kids = KidScratch.data() + Base;
+  const Type *ErasedTy = erased(T->type(), Comp);
 
-  const Type *ErasedTy = eraseType(T->type(), Comp);
-
-  switch (T->kind()) {
-  case TreeKind::TypeApply: {
-    // Generic applications erase to their function; the isInstanceOf /
-    // asInstanceOf intrinsics keep their (erased) type argument.
-    auto *TA = cast<TypeApply>(T);
-    Symbol *Sym = nullptr;
-    if (const auto *Sel = dyn_cast<Select>(TA->fun()))
-      Sym = Sel->sym();
-    bool IsTest = Sym == Comp.syms().isInstanceOfMethod() ||
-                  Sym == Comp.syms().asInstanceOfMethod() ||
-                  Sym == Comp.syms().newArrayMethod();
-    if (!IsTest)
-      return NewKids[0] ? std::move(NewKids[0]) : TreePtr(TA->fun());
-    std::vector<const Type *> Args;
-    for (const Type *A : TA->typeArgs())
-      Args.push_back(eraseType(A, Comp));
-    return Trees.makeTypeApply(T->loc(), std::move(NewKids[0]),
-                               std::move(Args), ErasedTy);
-  }
-  case TreeKind::New: {
-    const Type *ClsTy = eraseType(cast<New>(T)->classTy(), Comp);
-    return Trees.makeNew(T->loc(), ClsTy, std::move(NewKids));
-  }
-  case TreeKind::SeqLiteral: {
-    const Type *Elem =
-        eraseType(cast<SeqLiteral>(T)->elemType(), Comp);
-    return Trees.makeSeqLiteral(T->loc(), std::move(NewKids), Elem,
-                                Comp.types().arrayType(Elem));
-  }
-  case TreeKind::Apply: {
-    // The value has the erased result type of the (erased) function; when
-    // the statically known type was more precise, insert a cast.
-    TreePtr Node;
-    const Type *FunTy = NewKids[0]->type();
-    const auto *MT = dyn_cast_or_null<MethodType>(FunTy);
-    const Type *ResultTy = MT ? MT->result() : ErasedTy;
-    Node = Trees.makeApply(
-        T->loc(), std::move(NewKids[0]),
-        TreeList(std::make_move_iterator(NewKids.begin() + 1),
-                 std::make_move_iterator(NewKids.end())),
-        ResultTy);
-    if (ResultTy != ErasedTy && ErasedTy &&
-        !Comp.types().isSubtype(ResultTy, ErasedTy))
-      Node = Trees.makeTyped(T->loc(), std::move(Node), ErasedTy);
-    return Node;
-  }
-  case TreeKind::Select: {
-    auto *Sel = cast<Select>(T);
-    Symbol *Sym = Sel->sym();
-    const Type *OldTy = T->type();
-    bool IsValuePos = OldTy && !isa<MethodType>(OldTy) &&
-                      !isa<PolyType>(OldTy);
-    if (IsValuePos && Sym && Sym->info() &&
-        !isa<MethodType>(Sym->info())) {
-      // Field read: value has the erased declared type; cast if the
-      // static type was more precise.
-      const Type *DeclTy = Sym->info();
-      TreePtr Node = Trees.makeSelect(T->loc(), std::move(NewKids[0]),
-                                      Sym, DeclTy);
-      if (DeclTy != ErasedTy && ErasedTy &&
-          !Comp.types().isSubtype(DeclTy, ErasedTy))
-        return Trees.makeTyped(T->loc(), std::move(Node), ErasedTy);
+  // Each case returns T itself when the node it would build has T's
+  // children, type and payload.
+  TreePtr Out = [&]() -> TreePtr {
+    switch (T->kind()) {
+    case TreeKind::TypeApply: {
+      // Generic applications erase to their function; the isInstanceOf /
+      // asInstanceOf intrinsics keep their (erased) type argument.
+      auto *TA = cast<TypeApply>(T);
+      Symbol *Sym = nullptr;
+      if (const auto *Sel = dyn_cast<Select>(TA->fun()))
+        Sym = Sel->sym();
+      bool IsTest = Sym == Comp.syms().isInstanceOfMethod() ||
+                    Sym == Comp.syms().asInstanceOfMethod() ||
+                    Sym == Comp.syms().newArrayMethod();
+      if (!IsTest)
+        return std::move(Kids[0]);
+      std::vector<const Type *> Args;
+      Args.reserve(TA->typeArgs().size());
+      bool Changed = KidsChanged || ErasedTy != T->type();
+      for (const Type *A : TA->typeArgs()) {
+        Args.push_back(erased(A, Comp));
+        Changed |= Args.back() != A;
+      }
+      if (!Changed)
+        return TreePtr(T);
+      return Trees.makeTypeApply(T->loc(), std::move(Kids[0]),
+                                 std::move(Args), ErasedTy);
+    }
+    case TreeKind::New: {
+      const Type *OldCls = cast<New>(T)->classTy();
+      const Type *ClsTy = erased(OldCls, Comp);
+      if (!KidsChanged && ClsTy == OldCls && ClsTy == T->type())
+        return TreePtr(T);
+      return Trees.makeNew(T->loc(), ClsTy, Kids, N);
+    }
+    case TreeKind::SeqLiteral: {
+      const Type *OldElem = cast<SeqLiteral>(T)->elemType();
+      const Type *Elem = erased(OldElem, Comp);
+      const Type *ArrTy = Comp.types().arrayType(Elem);
+      if (!KidsChanged && Elem == OldElem && ArrTy == T->type())
+        return TreePtr(T);
+      return Trees.makeSeqLiteral(T->loc(), Kids, N, Elem, ArrTy);
+    }
+    case TreeKind::Apply: {
+      // The value has the erased result type of the (erased) function;
+      // when the statically known type was more precise, insert a cast.
+      const auto *MT = dyn_cast_or_null<MethodType>(Kids[0]->type());
+      const Type *ResultTy = MT ? MT->result() : ErasedTy;
+      TreePtr Node = !KidsChanged && ResultTy == T->type()
+                         ? TreePtr(T)
+                         : TreePtr(Trees.makeApply(T->loc(), Kids, N,
+                                                   ResultTy));
+      if (ResultTy != ErasedTy && ErasedTy &&
+          !Comp.types().isSubtype(ResultTy, ErasedTy))
+        Node = Trees.makeTyped(T->loc(), std::move(Node), ErasedTy);
       return Node;
     }
-    // Method position: erase the signature recorded on the node.
-    return Trees.makeSelect(T->loc(), std::move(NewKids[0]), Sym,
-                            ErasedTy);
-  }
-  default:
-    break;
-  }
-
-  TreePtr Node;
-  if (KidsChanged)
-    Node = Trees.withNewChildrenForced(T, std::move(NewKids));
-  else
-    Node = TreePtr(T);
-  if (ErasedTy != Node->type())
-    Node = Trees.withType(Node.get(), ErasedTy);
-  return Node;
+    case TreeKind::Select: {
+      Symbol *Sym = cast<Select>(T)->sym();
+      const Type *OldTy = T->type();
+      bool IsValuePos = OldTy && !isa<MethodType>(OldTy) &&
+                        !isa<PolyType>(OldTy);
+      // Field read: the value has the erased declared type, cast if the
+      // static type was more precise. Method position: the erased
+      // signature recorded on the node.
+      bool IsFieldRead = IsValuePos && Sym && Sym->info() &&
+                         !isa<MethodType>(Sym->info());
+      const Type *NodeTy = IsFieldRead ? Sym->info() : ErasedTy;
+      TreePtr Node = !KidsChanged && NodeTy == OldTy
+                         ? TreePtr(T)
+                         : TreePtr(Trees.makeSelect(
+                               T->loc(), std::move(Kids[0]), Sym, NodeTy));
+      if (IsFieldRead && NodeTy != ErasedTy && ErasedTy &&
+          !Comp.types().isSubtype(NodeTy, ErasedTy))
+        Node = Trees.makeTyped(T->loc(), std::move(Node), ErasedTy);
+      return Node;
+    }
+    default:
+      if (KidsChanged)
+        return Trees.withNewChildrenAndType(T, Kids, N, ErasedTy);
+      if (ErasedTy == T->type())
+        return TreePtr(T);
+      return Trees.withType(T, ErasedTy);
+    }
+  }();
+  KidScratch.resize(Base);
+  return Out;
 }
 
 void ErasurePhase::runOnUnit(CompilationUnit &Unit, CompilerContext &Comp) {
@@ -222,7 +261,10 @@ void ErasurePhase::runOnUnit(CompilationUnit &Unit, CompilerContext &Comp) {
     eraseSymbolInfos(Comp);
     SymbolsErased = true;
   }
-  Unit.Root = eraseTree(Unit.Root.get(), Comp);
+  // The scratch is local so an unwind mid-walk releases the refs it holds
+  // while their context is still alive.
+  std::vector<TreePtr> KidScratch;
+  Unit.Root = eraseTree(Unit.Root.get(), Comp, KidScratch);
 }
 
 /// True when \p T contains no pre-erasure type forms.

@@ -12,6 +12,7 @@
 #define MPC_TRANSFORMS_PHASES_H
 
 #include "core/Phase.h"
+#include "support/FlatPtrMap.h"
 
 #include <map>
 #include <set>
@@ -208,7 +209,8 @@ private:
 /// Erases generics, unions/intersections, function and by-name types to
 /// the runtime model; rewrites all node types and symbol infos, inserting
 /// casts where the static type was refined. Violates fusion rules 2 and 3
-/// (paper §6.2.2), hence a phase of its own.
+/// (paper §6.2.2), hence a phase of its own. Copy-on-change: a node whose
+/// children, erased type and payload types are unchanged is kept.
 class ErasurePhase : public Phase {
 public:
   ErasurePhase();
@@ -220,9 +222,16 @@ public:
   static const Type *eraseType(const Type *T, CompilerContext &Comp);
 
 private:
-  TreePtr eraseTree(Tree *T, CompilerContext &Comp);
+  /// eraseType through the run's memo.
+  const Type *erased(const Type *T, CompilerContext &Comp);
+  TreePtr eraseTree(Tree *T, CompilerContext &Comp,
+                    std::vector<TreePtr> &KidScratch);
   void eraseSymbolInfos(CompilerContext &Comp);
   bool SymbolsErased = false;
+  /// Erased form of every non-trivial type seen by this phase (one
+  /// pipeline run, like SymbolsErased). Keyed by address: TypeContext
+  /// hash-conses types, so equal types share one.
+  FlatPtrMap<const Type *, const Type *> ErasedTypes;
 };
 
 //===--- Block C: fields, traits, closures' captures -----------------------===//
@@ -296,7 +305,7 @@ public:
   TreePtr transformAssign(Assign *T, PhaseRunContext &Ctx) override;
 
 private:
-  std::set<Symbol *> Boxed;
+  FlatPtrMap<Symbol *, bool> Boxed;
 };
 
 //===--- Block D: constructors and closures --------------------------------===//

@@ -2,7 +2,6 @@
 
 #include "ast/TreeUtils.h"
 
-#include <functional>
 #include <set>
 
 using namespace mpc;
@@ -141,10 +140,39 @@ TreePtr mpc::cloneTree(CompilerContext &Comp, Tree *T, SymbolMap &Subst,
   return C.clone(T);
 }
 
+namespace {
+/// The reference scan of freeLocals: collects, in first-use order, the
+/// local value symbols referenced in a subtree but not defined in it.
+struct RefScan {
+  const std::set<Symbol *> &Defined;
+  std::set<Symbol *> Seen;
+  std::vector<Symbol *> &Free;
+  bool *UsesThis;
+
+  void scan(Tree *Node) {
+    Symbol *Ref = nullptr;
+    if (auto *Id = dyn_cast<Ident>(Node))
+      Ref = Id->sym();
+    if (Ref && Ref->is(SymFlag::Local) && !Ref->isClass() &&
+        !Ref->is(SymFlag::Field) && !Ref->is(SymFlag::Method) &&
+        !Defined.count(Ref) && Seen.insert(Ref).second)
+      Free.push_back(Ref);
+    if (UsesThis && isa<This>(Node))
+      *UsesThis = true;
+    bool IsCase = isa<CaseDef>(Node);
+    for (unsigned I = 0; I < Node->numKids(); ++I) {
+      if (IsCase && I == 0)
+        continue; // skip the pattern slot
+      if (Tree *Kid = Node->kid(I))
+        scan(Kid);
+    }
+  }
+};
+} // namespace
+
 std::vector<Symbol *> mpc::freeLocals(Tree *T, bool *UsesThis) {
   std::vector<Symbol *> Free;
   std::set<Symbol *> Defined;
-  std::set<Symbol *> Seen;
   if (UsesThis)
     *UsesThis = false;
 
@@ -162,25 +190,7 @@ std::vector<Symbol *> mpc::freeLocals(Tree *T, bool *UsesThis) {
   // Then find references to local symbols defined elsewhere. Identifiers
   // in pattern position (a CaseDef's pattern, e.g. wildcards in catch
   // handlers) are binders/placeholders, not references.
-  std::function<void(Tree *)> ScanRefs = [&](Tree *Node) {
-    if (!Node)
-      return;
-    Symbol *Ref = nullptr;
-    if (auto *Id = dyn_cast<Ident>(Node))
-      Ref = Id->sym();
-    if (Ref && Ref->is(SymFlag::Local) && !Ref->isClass() &&
-        !Ref->is(SymFlag::Field) && !Ref->is(SymFlag::Method) &&
-        !Defined.count(Ref) && Seen.insert(Ref).second)
-      Free.push_back(Ref);
-    if (UsesThis && isa<This>(Node))
-      *UsesThis = true;
-    bool IsCase = isa<CaseDef>(Node);
-    for (unsigned I = 0; I < Node->numKids(); ++I) {
-      if (IsCase && I == 0)
-        continue; // skip the pattern slot
-      ScanRefs(Node->kid(I));
-    }
-  };
-  ScanRefs(T);
+  if (T)
+    RefScan{Defined, {}, Free, UsesThis}.scan(T);
   return Free;
 }

@@ -222,6 +222,145 @@ class C {
   });
 }
 
+/// Lowers \p Source through the group before Erasure, then runs a fresh
+/// Erasure on the unit. \p Before receives the pre-Erasure root, which
+/// keeps the old tree alive (so node addresses stay unique) and
+/// \p Created the number of nodes Erasure allocated.
+CompilationUnit eraseFresh(CompilerContext &Comp, const char *Source,
+                           TreePtr &Before, uint64_t &Created) {
+  CompilationUnit U = lowerThrough(Comp, Source, "ExplicitOuter");
+  Before = U.Root;
+  uint64_t N0 = Comp.trees().nodesCreated();
+  ErasurePhase Erasure;
+  Erasure.runOnUnit(U, Comp);
+  Created = Comp.trees().nodesCreated() - N0;
+  return U;
+}
+
+/// True when \p Old and \p Out differ in their own type or payload types
+/// (not counting children).
+bool ownTypesDiffer(const Tree *Old, const Tree *Out) {
+  if (Old->type() != Out->type())
+    return true;
+  if (const auto *N = dyn_cast<New>(Old))
+    return N->classTy() != cast<New>(Out)->classTy();
+  if (const auto *SL = dyn_cast<SeqLiteral>(Old))
+    return SL->elemType() != cast<SeqLiteral>(Out)->elemType();
+  if (const auto *TA = dyn_cast<TypeApply>(Old))
+    return TA->typeArgs() != cast<TypeApply>(Out)->typeArgs();
+  return false;
+}
+
+/// Walks the pre- and post-Erasure trees in parallel (unwrapping inserted
+/// casts and erased type applications) and checks copy-on-change: a node
+/// of the output is new only when its own types changed or one of its
+/// children is new. Counts kept and rebuilt nodes.
+void expectOnlyChangedSpinesRebuilt(Tree *Old, Tree *Out, unsigned &Kept,
+                                    unsigned &Rebuilt) {
+  if (!Old || !Out) {
+    EXPECT_EQ(Old, Out);
+    return;
+  }
+  if (isa<Typed>(Out) && !isa<Typed>(Old))
+    Out = Out->kid(0); // cast inserted by Erasure
+  if (isa<TypeApply>(Old) && !isa<TypeApply>(Out))
+    Old = Old->kid(0); // generic application erased to its function
+  ASSERT_EQ(Old->kind(), Out->kind());
+  if (Old == Out) {
+    ++Kept;
+    return;
+  }
+  ++Rebuilt;
+  ASSERT_EQ(Old->numKids(), Out->numKids());
+  bool KidChanged = false;
+  for (unsigned I = 0; I < Old->numKids(); ++I) {
+    // An inserted cast or an erased type application also makes the
+    // child pointer differ.
+    if (Old->kid(I) != Out->kid(I))
+      KidChanged = true;
+    expectOnlyChangedSpinesRebuilt(Old->kid(I), Out->kid(I), Kept, Rebuilt);
+  }
+  EXPECT_TRUE(KidChanged || ownTypesDiffer(Old, Out))
+      << "rebuilt an unchanged " << treeKindName(Old->kind());
+}
+
+TEST(ErasureTest, MonomorphicUnitIsReturnedUntouched) {
+  CompilerContext Comp;
+  TreePtr Before;
+  uint64_t Created = 0;
+  CompilationUnit U = eraseFresh(Comp, R"(
+class Counter {
+  var n: Int = 0
+  def inc(by: Int): Int = { n = n + by; n }
+  def twice(): Int = inc(1) + inc(2)
+}
+object Main {
+  def main(args: Array[String]): Unit = {
+    val c = new Counter()
+    val xs = Array(1, 2, 3)
+    println(c.twice() + xs.length)
+  }
+}
+)",
+                                 Before, Created);
+  EXPECT_EQ(U.Root.get(), Before.get());
+  EXPECT_EQ(Created, 0u);
+}
+
+TEST(ErasureTest, OnlyAncestorsOfErasedNodesAreRebuilt) {
+  CompilerContext Comp;
+  TreePtr Before;
+  uint64_t Created = 0;
+  CompilationUnit U = eraseFresh(Comp, R"(
+class Cell[T](init: T) {
+  var item: T = init
+}
+class C {
+  def plain(a: Int, b: Int): Int = a * b + 1
+  def get(c: Cell[Int]): Int = c.item + 1
+  def pick(c: Boolean, x: Cell[Int], y: Cell[Int]): Cell[Int] =
+    if (c) x else y
+}
+)",
+                                 Before, Created);
+  EXPECT_NE(U.Root.get(), Before.get());
+  EXPECT_GT(Created, 0u);
+  unsigned Kept = 0, Rebuilt = 0;
+  expectOnlyChangedSpinesRebuilt(Before.get(), U.Root.get(), Kept, Rebuilt);
+  EXPECT_GT(Kept, 0u);
+  EXPECT_GT(Rebuilt, 0u);
+
+  // The monomorphic method survives by pointer.
+  auto FindPlain = [](Tree *Root) -> Tree * {
+    std::vector<Tree *> Defs;
+    collectKind(Root, TreeKind::DefDef, Defs);
+    for (Tree *D : Defs)
+      if (cast<DefDef>(D)->sym()->name().text() == "plain")
+        return D;
+    return nullptr;
+  };
+  ASSERT_NE(FindPlain(Before.get()), nullptr);
+  EXPECT_EQ(FindPlain(Before.get()), FindPlain(U.Root.get()));
+
+  // The generic field read keeps its cast back to the static type.
+  bool SawCastFieldRead = false;
+  forEachSubtree(U.Root.get(), [&](Tree *T) {
+    if (auto *Ty = dyn_cast<Typed>(T))
+      if (auto *Sel = dyn_cast<Select>(Ty->kid(0)))
+        if (Sel->sym()->name().text() == "item" &&
+            Ty->type() != Sel->type())
+          SawCastFieldRead = true;
+  });
+  EXPECT_TRUE(SawCastFieldRead);
+
+  ErasurePhase Checker;
+  forEachSubtree(U.Root.get(), [&](Tree *T) {
+    EXPECT_TRUE(Checker.checkPostCondition(T, Comp))
+        << "unerased type survives: "
+        << (T->type() ? T->type()->show() : "<none>");
+  });
+}
+
 TEST(LazyValsTest, ExpandsToFlagAndStorage) {
   CompilerContext Comp;
   CompilationUnit U = lowerThrough(Comp, R"(

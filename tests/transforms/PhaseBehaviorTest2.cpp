@@ -8,7 +8,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "ast/TreeUtils.h"
+#include "backend/Execution.h"
 #include "core/Pipeline.h"
+#include "driver/Driver.h"
 #include "frontend/Frontend.h"
 #include "transforms/StandardPlan.h"
 
@@ -247,6 +249,108 @@ class C {
           SawRefAlloc = true;
   });
   EXPECT_FALSE(SawRefAlloc);
+}
+
+//===----------------------------------------------------------------------===//
+// Whole-unit pre-walks (CapturedVars boxing analysis, LambdaLift scan):
+// captures and local methods at closure / block nesting the kind-summary
+// pruning of those walks must not miss. Each program runs through the
+// fused pipeline on both engines against a hand-written expected output.
+//===----------------------------------------------------------------------===//
+
+/// Compiles \p Source (fused pipeline) and returns the output of main on
+/// the tree-walker; expects the VM to print the same and both to finish
+/// without an uncaught exception.
+std::string runOnBothEngines(const char *Source) {
+  CompilerContext Comp;
+  Comp.options().VerifyBytecode = true;
+  std::vector<SourceInput> Sources;
+  Sources.push_back({"t.scala", Source});
+  CompileOutput Out =
+      compileProgram(Comp, std::move(Sources), PipelineKind::StandardFused);
+  EXPECT_FALSE(Comp.diags().hasErrors());
+  EXPECT_TRUE(Out.Prog.VerifyFailures.empty());
+  if (Out.EntryPoints.empty()) {
+    ADD_FAILURE() << "no entry point";
+    return "";
+  }
+  ExecOptions Tree;
+  Tree.Engine = ExecEngine::TreeWalk;
+  ExecResult R1 = executeProgram(Comp, Out.Units, Out.Prog,
+                                 Out.EntryPoints.front(), Tree);
+  ExecOptions VMOpts;
+  VMOpts.Engine = ExecEngine::VM;
+  ExecResult R2 = executeProgram(Comp, Out.Units, Out.Prog,
+                                 Out.EntryPoints.front(), VMOpts);
+  EXPECT_FALSE(R1.Uncaught) << R1.Error;
+  EXPECT_FALSE(R2.Uncaught) << R2.Error;
+  EXPECT_EQ(R1.Output, R2.Output) << "tree-walker vs VM";
+  return R1.Output;
+}
+
+TEST(PreWalkEdges, VarCapturedThreeBlocksBelowItsClosureFreeDefinition) {
+  EXPECT_EQ(runOnBothEngines(R"(
+object Main {
+  def main(args: Array[String]): Unit = {
+    var count = 0
+    val a = 1
+    val r = {
+      val b = 2
+      val s = {
+        val c = 3
+        val t = {
+          val f = () => { count = count + a + b + c; count }
+          f() + f()
+        }
+        t
+      }
+      s
+    }
+    println(r)
+    println(count)
+  }
+}
+)"),
+            "18\n12\n");
+}
+
+TEST(PreWalkEdges, VarDefinedInClosureCapturedByInnerClosure) {
+  EXPECT_EQ(runOnBothEngines(R"(
+object Main {
+  def main(args: Array[String]): Unit = {
+    val outer = (n: Int) => {
+      var acc = 0
+      val inc = (d: Int) => { acc = acc + d; acc }
+      inc(n)
+      inc(n + 1)
+      acc
+    }
+    println(outer(5))
+    println(outer(1))
+  }
+}
+)"),
+            "11\n3\n");
+}
+
+TEST(PreWalkEdges, LocalDefInExpressionBlockInsideClosureIsLifted) {
+  EXPECT_EQ(runOnBothEngines(R"(
+object Main {
+  def main(args: Array[String]): Unit = {
+    val base = 10
+    val f = (x: Int) => {
+      val y = {
+        def add(z: Int): Int = z + x + base
+        add(1)
+      }
+      y * 2
+    }
+    println(f(5))
+    println(f(0))
+  }
+}
+)"),
+            "32\n22\n");
 }
 
 //===----------------------------------------------------------------------===//

@@ -117,9 +117,9 @@ struct ClassFile {
   }
 };
 
-/// One bytecode-verifier diagnostic (produced by backend/Verifier.h,
-/// carried on the Program so callers see structural codegen bugs as
-/// typed failures instead of VM crashes).
+/// One bytecode-verifier diagnostic (produced by backend/Verifier.h, so
+/// callers see structural codegen bugs as typed failures instead of VM
+/// crashes).
 struct VerifyFailure {
   Symbol *Method = nullptr;
   uint32_t Pc = 0;
@@ -130,9 +130,6 @@ struct VerifyFailure {
 struct Program {
   std::vector<ClassFile> Classes;
   std::vector<Symbol *> EntryPoints;
-  /// Filled by generateCode when CompilerOptions::VerifyBytecode is set
-  /// (tests run the verifier unconditionally via verifyProgram).
-  std::vector<VerifyFailure> VerifyFailures;
 
   uint64_t totalInstructions() const {
     uint64_t N = 0;

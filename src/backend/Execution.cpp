@@ -5,12 +5,6 @@
 
 using namespace mpc;
 
-ExecOptions mpc::execOptionsFrom(const CompilerContext &Comp) {
-  ExecOptions Opts;
-  Opts.Engine = Comp.options().Engine;
-  return Opts;
-}
-
 ExecResult mpc::executeProgram(CompilerContext &Comp,
                                const std::vector<CompilationUnit> &Units,
                                const Program &Prog, Symbol *EntryPoint,
@@ -23,9 +17,7 @@ ExecResult mpc::executeProgram(CompilerContext &Comp,
     return R;
   }
   if (Opts.Engine == ExecEngine::VM) {
-    LinkOptions LO;
-    LO.Superinstructions = Opts.Superinstructions;
-    LinkedProgram Linked = linkProgram(Prog, Comp, LO);
+    LinkedProgram Linked = linkProgram(Prog, Comp);
     VM M(Comp, Linked, Opts.StepLimit);
     return M.runMain(EntryPoint, Args);
   }

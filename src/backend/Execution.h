@@ -3,9 +3,9 @@
 /// \file
 /// One entry point for "run the compiled program": dispatches to the
 /// definitional tree interpreter or to the link-and-execute bytecode VM
-/// according to ExecOptions (defaulting to CompilerOptions::Engine).
-/// Driver-level callers (fuzzer, examples, service wiring) go through
-/// here so flipping the engine is one option, not a code change.
+/// according to ExecOptions::Engine, the one engine selector. Driver-level
+/// callers (fuzzer, tests) go through here so flipping the engine is one
+/// option, not a code change.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,13 +17,17 @@
 
 namespace mpc {
 
-/// Execution knobs. Engine defaults to the context's option so services
-/// configure it once per job.
+/// Which engine executes guest programs after compilation: the
+/// definitional tree-walker or the direct-threaded bytecode VM. The
+/// tree-walker stays the semantic oracle; the VM must match it byte for
+/// byte.
+enum class ExecEngine : uint8_t { TreeWalk, VM };
+
+/// Execution knobs. The VM links with default LinkOptions (superinstructions
+/// on); callers that need other link options link and run the VM directly.
 struct ExecOptions {
   ExecEngine Engine = ExecEngine::TreeWalk;
   uint64_t StepLimit = 50'000'000;
-  /// VM only: fuse the measured superinstruction pairs at link time.
-  bool Superinstructions = true;
 };
 
 /// Runs `main(args)` on \p EntryPoint with the selected engine. The
@@ -36,9 +40,6 @@ ExecResult executeProgram(CompilerContext &Comp,
                           const Program &Prog, Symbol *EntryPoint,
                           const ExecOptions &Opts = {},
                           const std::vector<std::string> &Args = {});
-
-/// Convenience: ExecOptions prefilled from \p Comp's options().
-ExecOptions execOptionsFrom(const CompilerContext &Comp);
 
 } // namespace mpc
 

@@ -49,14 +49,8 @@
 
 using namespace mpc;
 
-// Direct threading needs GNU labels-as-values; MSVC and strict-ISO builds
-// fall back to the token-threaded switch. MPC_VM_NO_COMPUTED_GOTO forces
-// the fallback so the CI matrix can differential-test both loops.
-#if !defined(MPC_VM_NO_COMPUTED_GOTO) && defined(__GNUC__)
-#define MPC_VM_COMPUTED_GOTO 1
-#else
-#define MPC_VM_COMPUTED_GOTO 0
-#endif
+// Direct threading uses GNU labels-as-values (`&&label`, `goto *p`),
+// which every supported compiler (GCC, Clang) provides.
 
 namespace {
 
@@ -764,13 +758,9 @@ private:
   std::vector<uint64_t> Pairs;
 };
 
-//===--- run(): both dispatch loops from one opcode body list -------------===//
+//===--- run(): the direct-threaded dispatch loop -------------------------===//
 
-#if MPC_VM_COMPUTED_GOTO
 #define VM_CASE(Name) Lbl_##Name:
-#else
-#define VM_CASE(Name) case LOp::Name:
-#endif
 
 /// Save the caller-visible Pc into the current frame (the unwinder and
 /// callee pushes need it).
@@ -831,7 +821,6 @@ private:
   } while (0)
 
 bool VM::Impl::run() {
-#if MPC_VM_COMPUTED_GOTO
   // One label per opcode, in exact LOp order: the enum value indexes this
   // table, and the threading pass below bakes the address into LInstr::H.
   static const void *const Labels[] = {
@@ -875,7 +864,6 @@ bool VM::Impl::run() {
         L.H = Profiling ? &&count : Labels[static_cast<size_t>(L.Code)];
     LP.Threaded = Want;
   }
-#endif
 
   const LInstr *Code = nullptr;
   const LInstr *Ip = nullptr;
@@ -895,13 +883,7 @@ fetched:
   if (--Fuel <= 0)
     goto refuel;
 execute:
-#if MPC_VM_COMPUTED_GOTO
   goto *const_cast<void *>(Ip->H);
-#else
-  if (Profiling)
-    countDispatch(Ip->Code, PrevOp);
-  switch (Ip->Code) {
-#endif
 
   VM_CASE(Nop)
   VM_NEXT();
@@ -1666,12 +1648,6 @@ execute:
     VM_NEXT();
   }
 
-#if !MPC_VM_COMPUTED_GOTO
-  default:
-    VM_TRAP_ERR("corrupt opcode");
-  }
-#endif
-
   // The step counter's slow path. Fuel ran out, so the dispatch at Ip is
   // one the plain countdown may not cover: the 256th-step deadline poll,
   // the first step past the limit, or (after a trap set Fuel to zero)
@@ -1698,11 +1674,9 @@ refuel:
   }
   goto execute;
 
-#if MPC_VM_COMPUTED_GOTO
 count:
   countDispatch(Ip->Code, PrevOp);
   goto *Labels[static_cast<size_t>(Ip->Code)];
-#endif
 }
 
 //===--- public API --------------------------------------------------------===//

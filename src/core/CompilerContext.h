@@ -37,12 +37,6 @@ enum class FusionStrategy {
   IndexedByKind,
 };
 
-/// Which engine executes guest programs after compilation (driver,
-/// fuzzer, differential tests): the definitional tree-walker or the
-/// direct-threaded bytecode VM. The tree-walker stays the semantic
-/// oracle; the VM must match it byte for byte.
-enum class ExecEngine : uint8_t { TreeWalk, VM };
-
 /// Tunable behaviour, mirroring the evaluation's configurations.
 struct CompilerOptions {
   /// True: miniphases fuse into blocks (Table 2 grouping). False: every
@@ -66,12 +60,6 @@ struct CompilerOptions {
   /// cache/perf simulators are attached (so the memsim figures keep
   /// modelling the full walk).
   bool SubtreePruning = true;
-  /// Treat the unit as a DAG (paper §9 future work): subtrees shared via
-  /// hash-consing or tree reuse are transformed once and the result is
-  /// reused at every other occurrence, preserving sharing in the output.
-  /// Automatically ignored for blocks containing phases with prepare
-  /// hooks, whose transforms may depend on the path from the root.
-  bool DagMemoize = false;
   /// Back tree-node storage with the ManagedHeap's size-class slab
   /// allocator instead of one system allocation per node. Affects only
   /// where real bytes live: the simulated allocation clock (Figures 5/6)
@@ -81,15 +69,6 @@ struct CompilerOptions {
   /// CompilerContext(Opts) constructor — the backend cannot change while
   /// the heap holds allocations.
   bool SlabHeap = true;
-  /// Run the bytecode verifier over generateCode's output (jump targets,
-  /// stack balance, handler well-formedness) and record failures on
-  /// Program::VerifyFailures. A debug option, off by default; the VM
-  /// test suites verify unconditionally.
-  bool VerifyBytecode = false;
-  /// Guest-execution engine for post-compile runs routed through
-  /// backend/Execution.h (executeProgram honors this unless the caller
-  /// overrides it explicitly).
-  ExecEngine Engine = ExecEngine::TreeWalk;
   FusionStrategy Strategy = FusionStrategy::IndexedByKind;
 };
 

@@ -25,12 +25,7 @@ using namespace mpc;
 //     IdentitySkip     node reuse changes allocation clock
 //     SubtreePruning   observationally identical, but mixed anyway so the
 //                      pruning ablation never shares entries (conservative)
-//     DagMemoize       sharing changes allocation clock
 //     Strategy         dispatch strategy, mixed conservatively
-//     VerifyBytecode   fills Program::VerifyFailures; callers reading
-//                      verifier output must never replay an entry from a
-//                      non-verified job (conservative — rendered text is
-//                      identical today)
 //
 //   Cache-IRRELEVANT (excluded deliberately):
 //     FuseMiniphases   compileProgram overwrites both from the job's
@@ -42,25 +37,18 @@ using namespace mpc;
 //                      byte-identical either way (pinned by the
 //                      SlabAllocatorTest invariance suite), so slab-on
 //                      and slab-off jobs may share one cache entry.
-//     Engine           selects which engine executes the program AFTER
-//                      compilation (tree-walker vs bytecode VM); the
-//                      cached artifact is the compile output, which is
-//                      identical either way, and the VM differential
-//                      suite pins engine-equivalence of the execution.
-static_assert(sizeof(CompilerOptions) == 16,
+static_assert(sizeof(CompilerOptions) == 12,
               "CompilerOptions changed: audit the cache-relevance lists "
               "above, extend optionsFingerprint(), then update this size");
 
 namespace {
 
 Fingerprint optionsFingerprint(const CompilerOptions &O) {
-  const unsigned char Bits[6] = {
+  const unsigned char Bits[4] = {
       static_cast<unsigned char>(O.CheckTrees),
       static_cast<unsigned char>(O.IdentitySkip),
       static_cast<unsigned char>(O.SubtreePruning),
-      static_cast<unsigned char>(O.DagMemoize),
       static_cast<unsigned char>(O.Strategy),
-      static_cast<unsigned char>(O.VerifyBytecode),
   };
   return fingerprintBytes(Bits, sizeof(Bits));
 }

@@ -15,12 +15,9 @@ CompileService::CompileService(ServiceConfig Config)
     if (N == 0)
       N = 1;
   }
-  Sheaves.reserve(N);
   Workers.reserve(N);
   for (unsigned I = 0; I < N; ++I)
-    Sheaves.push_back(std::make_unique<StatsSheaf>());
-  for (unsigned I = 0; I < N; ++I)
-    Workers.emplace_back([this, I] { workerMain(I); });
+    Workers.emplace_back([this] { workerMain(); });
 }
 
 CompileService::~CompileService() { stop(); }
@@ -145,8 +142,7 @@ uint64_t CompileService::enqueue(BatchJob Job) {
   return tryEnqueue(std::move(Job)).Id;
 }
 
-void CompileService::workerMain(unsigned WorkerIdx) {
-  StatsSheaf &Sheaf = *Sheaves[WorkerIdx];
+void CompileService::workerMain() {
   while (true) {
     uint64_t Id;
     uint64_t Seq;
@@ -161,12 +157,12 @@ void CompileService::workerMain(unsigned WorkerIdx) {
         return; // Stopping, and nothing left to do
       // One dequeue per JOB (not per slice): whichever worker frees up
       // first takes the next job, so long jobs don't starve the rest.
-      // Lane choice: interactive first, except that after InteractiveBurst
-      // consecutive interactive takes with batch work waiting, the batch
-      // lane gets the next slot (anti-starvation).
+      // Lane choice: interactive first, except that after
+      // InteractiveRunCap consecutive interactive takes with batch work
+      // waiting, the batch lane gets the next slot (anti-starvation).
       bool TakeBatch =
           !BatchLane.empty() &&
-          (InteractiveLane.empty() || SinceBatch >= Cfg.InteractiveBurst);
+          (InteractiveLane.empty() || SinceBatch >= InteractiveRunCap);
       std::deque<QueuedJob> &Lane = TakeBatch ? BatchLane : InteractiveLane;
       if (TakeBatch)
         SinceBatch = 0;
@@ -185,6 +181,7 @@ void CompileService::workerMain(unsigned WorkerIdx) {
     SpaceCv.notify_one();
 
     std::unique_ptr<BatchResult> Result;
+    StatsRegistry JobStats;
     double Deadline = Job.DeadlineSec;
     if (Deadline > 0 && QueueWait >= Deadline) {
       // The deadline (measured from enqueue) expired while the job sat in
@@ -195,14 +192,20 @@ void CompileService::workerMain(unsigned WorkerIdx) {
       Result->Status = JobStatus::DeadlineExceeded;
       Result->HadErrors = true;
       Result->DiagText = "error: job deadline exceeded while queued\n";
-      Sheaf.add("service.jobsCompleted", 1);
-      Sheaf.add("service.jobsDeadlineExceeded", 1);
+      JobStats.add("service.jobsCompleted", 1);
+      JobStats.add("service.jobsDeadlineExceeded", 1);
     } else {
       // The remaining budget is what runBatchJob arms as the in-compile
       // deadline: queue wait counts against the job's total allowance.
       if (Deadline > 0)
         Job.DeadlineSec = Deadline - QueueWait;
-      Result = std::make_unique<BatchResult>(runJob(std::move(Job), Sheaf));
+      Result = std::make_unique<BatchResult>(runJob(std::move(Job), JobStats));
+    }
+    // Fold the job's counters in before it counts as complete, so a
+    // drain that has waited for this job also sees them.
+    {
+      std::lock_guard<std::mutex> Lock(PendingM);
+      PendingStats.merge(JobStats);
     }
     Result->DequeueSeq = Seq;
     // Per-request, even on a cache replay (the compile-stage timings are
@@ -258,7 +261,7 @@ CachedArtifact captureArtifact(const BatchResult &R) {
 
 } // namespace
 
-BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
+BatchResult CompileService::runJob(BatchJob Job, StatsRegistry &JobStats) {
   Timer Busy;
 
   // Consult the artifact cache first: a hit replays the stored result
@@ -268,31 +271,31 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
     Key = jobKeyFor(Job);
     CachedArtifact Artifact;
     if (Cache->lookup(Key, Artifact)) {
-      Sheaf.add("service.jobsCompleted", 1);
-      Sheaf.add("service.cacheHits", 1);
+      JobStats.add("service.jobsCompleted", 1);
+      JobStats.add("service.cacheHits", 1);
       BatchResult R = replayArtifact(std::move(Artifact));
-      Sheaf.add("service.busyMicros",
+      JobStats.add("service.busyMicros",
                 static_cast<uint64_t>(Busy.elapsedSeconds() * 1e6));
       return R;
     }
-    Sheaf.add("service.cacheMisses", 1);
+    JobStats.add("service.cacheMisses", 1);
   }
 
   auto Comp = std::make_unique<CompilerContext>(Job.Options);
   Comp->heap().setPagePool(&Pages);
   BatchResult R = runBatchJob(std::move(Job), std::move(Comp));
 
-  Sheaf.add("service.jobsCompleted", 1);
+  JobStats.add("service.jobsCompleted", 1);
   if (R.Status == JobStatus::DeadlineExceeded)
-    Sheaf.add("service.jobsDeadlineExceeded", 1);
+    JobStats.add("service.jobsDeadlineExceeded", 1);
   else if (R.Status == JobStatus::Faulted)
-    Sheaf.add("service.jobsFaulted", 1);
+    JobStats.add("service.jobsFaulted", 1);
   const SlabAllocator::Stats &Backend = R.Comp->heap().backendStats();
-  Sheaf.add("service.pagesShared", Backend.PagesFromPool);
-  Sheaf.add("service.pagesMapped", Backend.PagesMapped);
-  Sheaf.add("service.realAllocs", Backend.SystemCalls);
-  // Fold the job's pipeline counters into the service aggregate.
-  Sheaf.merge(R.Comp->stats());
+  JobStats.add("service.pagesShared", Backend.PagesFromPool);
+  JobStats.add("service.pagesMapped", Backend.PagesMapped);
+  JobStats.add("service.realAllocs", Backend.SystemCalls);
+  // The job's pipeline counters join the service aggregate.
+  JobStats.merge(R.Comp->stats());
 
   // Strip everything context-owned — the units' trees live in the
   // context heap, and the bytecode / entry points / check failures
@@ -311,8 +314,8 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
   if (Cache && R.Status == JobStatus::Ok)
     Cache->insert(Key, captureArtifact(R));
 
-  Sheaf.add("service.busyMicros",
-            static_cast<uint64_t>(Busy.elapsedSeconds() * 1e6));
+  JobStats.add("service.busyMicros",
+               static_cast<uint64_t>(Busy.elapsedSeconds() * 1e6));
   return R;
 }
 
@@ -361,10 +364,13 @@ std::vector<BatchResult> CompileService::drain() {
     DepthPeak = QueueDepthPeak;
   }
 
-  // Merge the per-worker sheaves; each drain folds only the deltas since
-  // the previous one, so the registry accumulates lifetime totals.
-  for (auto &Sheaf : Sheaves)
-    Sheaf->drainInto(Stats);
+  // Each drain folds only the counters of jobs completed since the
+  // previous one, so the registry accumulates lifetime totals.
+  {
+    std::lock_guard<std::mutex> Lock(PendingM);
+    Stats.merge(PendingStats);
+    PendingStats.clear();
+  }
   double WallSec = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - StartedAt)
                        .count();
@@ -373,7 +379,7 @@ std::vector<BatchResult> CompileService::drain() {
   Stats.counter("service.workerUtilization") =
       Capacity > 0 ? static_cast<uint64_t>(100.0 * BusySec / Capacity) : 0;
   // Occupancy gauges (not deltas): refreshed to the current value each
-  // drain. Hits/misses accumulate through the sheaves above; the
+  // drain. Hits/misses accumulate through the pending counters above; the
   // admission counters are service-lifetime totals read under M.
   Stats.counter("service.jobsRejected") = Rejected;
   Stats.counter("service.jobsShed") = Shed;

@@ -33,11 +33,13 @@
 ///      the next job on any worker — that pool, not context reuse, keeps
 ///      the service's footprint flat.
 ///
-///   3. Per-worker stats sheaves. Workers record their counters
-///      (jobs completed, pages obtained from the shared pool, busy time)
-///      in private StatsSheaf blocks; drain() merges the sheaves into the
-///      service's StatsRegistry and derives service.workerUtilization —
-///      no shared counter is touched on the per-job path.
+///   3. Job-local stats. A worker records one job's counters (jobs
+///      completed, pages obtained from the shared pool, busy time, the
+///      context's pipeline counters) in a StatsRegistry of its own and
+///      folds it once, when the job completes, into one lock-guarded
+///      pending registry; drain() merges that registry into stats() and
+///      derives service.workerUtilization, so stats() only moves at a
+///      drain.
 ///
 ///   4. Content-addressed artifact cache. Each dequeued job derives its
 ///      JobKey (hash of sources + cache-relevant options + pipeline
@@ -92,6 +94,11 @@ enum class QueuePolicy : uint8_t {
   ShedOldest,
 };
 
+/// Anti-starvation cap for the priority lanes: after this many
+/// consecutive interactive dequeues while batch work waits, the next
+/// dequeue takes from the batch lane regardless.
+inline constexpr unsigned InteractiveRunCap = 3;
+
 /// Sentinel id returned by enqueue()/tryEnqueue() after stop(): the job
 /// was not admitted and owns no slot in the drain window.
 inline constexpr uint64_t InvalidJobId = ~uint64_t(0);
@@ -116,10 +123,6 @@ struct ServiceConfig {
   size_t MaxQueueDepth = 0;
   /// What to do with arrivals at a full queue.
   QueuePolicy Policy = QueuePolicy::Block;
-  /// Anti-starvation cap for the priority lanes: after this many
-  /// consecutive interactive dequeues while batch work waits, the next
-  /// dequeue takes from the batch lane regardless.
-  unsigned InteractiveBurst = 3;
   /// Artifact-cache policy: consult-before-compile with LRU-bounded
   /// storage.
   CacheConfig Cache;
@@ -166,9 +169,10 @@ public:
 
   /// Blocks until every job enqueued so far is complete and returns
   /// their results in enqueue order (starting after the previous drain's
-  /// last job). Also merges the worker sheaves into stats() and refreshes
-  /// service.workerUtilization. Single consumer: call from one thread at
-  /// a time (enqueue() may race it freely).
+  /// last job). Also merges the counters of the jobs completed since the
+  /// previous drain into stats() and refreshes service.workerUtilization.
+  /// Single consumer: call from one thread at a time (enqueue() may race
+  /// it freely).
   std::vector<BatchResult> drain();
 
   /// Jobs enqueued but not yet completed by a worker (queued + running).
@@ -209,8 +213,9 @@ private:
     std::chrono::steady_clock::time_point EnqueuedAt;
   };
 
-  void workerMain(unsigned WorkerIdx);
-  BatchResult runJob(BatchJob Job, StatsSheaf &Sheaf);
+  void workerMain();
+  /// Runs one dequeued job, recording its counters in \p JobStats.
+  BatchResult runJob(BatchJob Job, StatsRegistry &JobStats);
   /// Queue depth across both lanes. Caller holds M.
   size_t queueDepthLocked() const {
     return InteractiveLane.size() + BatchLane.size();
@@ -239,7 +244,7 @@ private:
   std::condition_variable DoneCv;  // drain(): a job finished
   std::condition_variable SpaceCv; // Block-policy producers: a slot freed
   /// The admission queue, split by JobPriority. Workers prefer the
-  /// interactive lane; SinceBatch enforces the InteractiveBurst cap so
+  /// interactive lane; SinceBatch enforces the InteractiveRunCap so
   /// the batch lane cannot starve.
   std::deque<QueuedJob> InteractiveLane;
   std::deque<QueuedJob> BatchLane;
@@ -261,7 +266,10 @@ private:
   uint64_t JobsShed = 0;
   uint64_t QueueDepthPeak = 0;
 
-  std::vector<std::unique_ptr<StatsSheaf>> Sheaves; // one per worker
+  /// Counters of jobs completed since the last drain, folded in once per
+  /// job; drain() moves them into Stats.
+  std::mutex PendingM;
+  StatsRegistry PendingStats;
   StatsRegistry Stats;
   std::chrono::steady_clock::time_point StartedAt;
   std::mutex JoinM; // serializes stop()'s join phase (idempotent stop)

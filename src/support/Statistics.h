@@ -3,12 +3,9 @@
 /// \file
 /// Named counters in the spirit of LLVM's Statistic class. Phases bump
 /// counters (nodes visited, trees rebuilt, hooks executed...) and benchmarks
-/// read them back to explain measured effects.
-///
-/// The compile service adds a two-level scheme: each worker thread owns a
-/// StatsSheaf (a locally buffered counter block) and the service merges
-/// the sheaves into one StatsRegistry when results are drained, so the
-/// per-job hot path never contends on a shared counter map.
+/// read them back to explain measured effects. The compile service
+/// collects each job's counters in a job-local registry and merges them
+/// into its own when results are drained.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
 namespace mpc {
@@ -25,8 +21,7 @@ namespace mpc {
 class OStream;
 
 /// A bag of named uint64 counters. Not thread-safe; within one compiler
-/// run counters are bumped by a single thread (per-worker accumulation
-/// goes through StatsSheaf below).
+/// run counters are bumped by a single thread.
 class StatsRegistry {
 public:
   uint64_t &counter(const std::string &Key) { return Counters[Key]; }
@@ -57,37 +52,6 @@ public:
 
 private:
   std::map<std::string, uint64_t> Counters;
-};
-
-/// Per-worker counter block of the compile service. A worker bumps its
-/// own sheaf without contending with other workers (the tiny mutex is
-/// only ever shared with the drainer, which runs once per drain, not per
-/// counter); drainInto() moves the accumulated deltas into the service's
-/// registry and empties the sheaf so repeated drains never double-count.
-class StatsSheaf {
-public:
-  void add(const std::string &Key, uint64_t Delta) {
-    std::lock_guard<std::mutex> Lock(M);
-    Local.add(Key, Delta);
-  }
-
-  /// Adds every counter of \p Registry (e.g. a finished job's context
-  /// stats) into the sheaf.
-  void merge(const StatsRegistry &Registry) {
-    std::lock_guard<std::mutex> Lock(M);
-    Local.merge(Registry);
-  }
-
-  /// Moves the buffered deltas into \p Out and resets the sheaf.
-  void drainInto(StatsRegistry &Out) {
-    std::lock_guard<std::mutex> Lock(M);
-    Out.merge(Local);
-    Local.clear();
-  }
-
-private:
-  mutable std::mutex M;
-  StatsRegistry Local;
 };
 
 } // namespace mpc

@@ -146,7 +146,8 @@ void ErasurePhase::eraseSymbolInfos(CompilerContext &Comp) {
 }
 
 TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp,
-                                std::vector<TreePtr> &KidScratch) {
+                                std::vector<TreePtr> &KidScratch,
+                                bool IsStoreTarget) {
   TreeContext &Trees = Comp.trees();
 
   // Erase children first (postorder, like any other phase) into the
@@ -155,9 +156,11 @@ TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp,
   unsigned N = T->numKids();
   size_t Base = KidScratch.size();
   bool KidsChanged = false;
+  bool IsAssign = T->kind() == TreeKind::Assign;
   for (unsigned I = 0; I < N; ++I) {
     Tree *Kid = T->kid(I);
-    TreePtr NK = Kid ? eraseTree(Kid, Comp, KidScratch) : TreePtr();
+    TreePtr NK =
+        Kid ? eraseTree(Kid, Comp, KidScratch, IsAssign && I == 0) : TreePtr();
     if (NK.get() != Kid)
       KidsChanged = true;
     KidScratch.push_back(std::move(NK));
@@ -228,7 +231,8 @@ TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp,
       bool IsValuePos = OldTy && !isa<MethodType>(OldTy) &&
                         !isa<PolyType>(OldTy);
       // Field read: the value has the erased declared type, cast if the
-      // static type was more precise. Method position: the erased
+      // static type was more precise (a store target is a location, not
+      // a value, and stays uncast). Method position: the erased
       // signature recorded on the node.
       bool IsFieldRead = IsValuePos && Sym && Sym->info() &&
                          !isa<MethodType>(Sym->info());
@@ -237,7 +241,7 @@ TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp,
                          ? TreePtr(T)
                          : TreePtr(Trees.makeSelect(
                                T->loc(), std::move(Kids[0]), Sym, NodeTy));
-      if (IsFieldRead && NodeTy != ErasedTy && ErasedTy &&
+      if (IsFieldRead && !IsStoreTarget && NodeTy != ErasedTy && ErasedTy &&
           !Comp.types().isSubtype(NodeTy, ErasedTy))
         Node = Trees.makeTyped(T->loc(), std::move(Node), ErasedTy);
       return Node;
@@ -264,7 +268,8 @@ void ErasurePhase::runOnUnit(CompilationUnit &Unit, CompilerContext &Comp) {
   // The scratch is local so an unwind mid-walk releases the refs it holds
   // while their context is still alive.
   std::vector<TreePtr> KidScratch;
-  Unit.Root = eraseTree(Unit.Root.get(), Comp, KidScratch);
+  Unit.Root = eraseTree(Unit.Root.get(), Comp, KidScratch,
+                        /*IsStoreTarget=*/false);
 }
 
 /// True when \p T contains no pre-erasure type forms.

@@ -224,8 +224,9 @@ public:
 private:
   /// eraseType through the run's memo.
   const Type *erased(const Type *T, CompilerContext &Comp);
+  /// \p IsStoreTarget marks an Assign's lhs, which is never cast.
   TreePtr eraseTree(Tree *T, CompilerContext &Comp,
-                    std::vector<TreePtr> &KidScratch);
+                    std::vector<TreePtr> &KidScratch, bool IsStoreTarget);
   void eraseSymbolInfos(CompilerContext &Comp);
   bool SymbolsErased = false;
   /// Erased form of every non-trivial type seen by this phase (one

@@ -20,8 +20,9 @@ namespace mpc {
 /// Builds the standard transformation pipeline. With \p Fuse the
 /// miniphases fuse into blocks (the paper's Miniphase configuration);
 /// without it every phase is a separate traversal (the Megaphase
-/// configuration of the evaluation). Ordering constraints are validated;
-/// errors are appended to \p Errors.
+/// configuration of the evaluation; run with CompilerOptions::AlwaysCopy
+/// it is the scalac-like Legacy baseline). Ordering constraints are
+/// validated; errors are appended to \p Errors.
 PhasePlan makeStandardPlan(bool Fuse, std::vector<std::string> &Errors);
 
 /// Edits the phase list of a plan under construction (insert custom
@@ -36,11 +37,6 @@ using PlanCustomizer =
 /// standard phase: extending the pipeline costs no extra traversal.
 PhasePlan makeCustomizedPlan(bool Fuse, std::vector<std::string> &Errors,
                              const PlanCustomizer &Customize);
-
-/// Builds the scalac-like legacy plan: the same transformations arranged
-/// in Table 1 style (hand-fused groups, run unfused). Used with
-/// CompilerOptions::AlwaysCopy as the Figure 9 baseline.
-PhasePlan makeLegacyPlan(std::vector<std::string> &Errors);
 
 /// Returns the CollectEntryPoints phase of a plan (for the backend), or
 /// null.

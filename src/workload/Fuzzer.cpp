@@ -75,8 +75,7 @@ FuzzOutcome mpc::runPipelineOnce(CompilerContext &Comp,
     if (!O.HasErrors && !Out.EntryPoints.empty()) {
       // Both engines run every program: the tree-walker is the oracle
       // and gives the outcome, and the bytecode VM must agree with it.
-      ExecOptions Opts = execOptionsFrom(Comp);
-      Opts.Engine = ExecEngine::TreeWalk;
+      ExecOptions Opts;
       setRun(O, executeProgram(Comp, Out.Units, Out.Prog,
                                Out.EntryPoints.front(), Opts));
       FuzzOutcome OnVM = O;

@@ -249,6 +249,8 @@ const char *mpc::familyName(Family F) {
     return "unbalanced-delims";
   case Family::TypeErrorSeeded:
     return "type-error-seeded";
+  case Family::Generics:
+    return "generics";
   }
   return "unknown";
 }
@@ -260,6 +262,7 @@ bool mpc::familyIsValid(Family F) {
   case Family::ClosureHeavy:
   case Family::MegaMethods:
   case Family::ManyTinyUnits:
+  case Family::Generics:
     return true;
   default:
     return false;
@@ -272,7 +275,7 @@ const std::vector<Family> &mpc::allFamilies() {
       Family::ClosureHeavy,   Family::MegaMethods,
       Family::ManyTinyUnits,  Family::Truncated,
       Family::TokenMutation,  Family::UnbalancedDelims,
-      Family::TypeErrorSeeded};
+      Family::TypeErrorSeeded, Family::Generics};
   return All;
 }
 
@@ -455,6 +458,84 @@ std::vector<SourceInput> genManyTinyUnits(uint64_t Seed, double Scale) {
   return Sources;
 }
 
+/// Generic classes with type-parameter val/var fields, generic methods and
+/// function values passed through type parameters, all used at concrete
+/// types: every such read, write and call makes Erasure insert or avoid a
+/// cast, which no other family exercises.
+std::vector<SourceInput> genGenerics(uint64_t Seed, double Scale) {
+  Rng R(Seed ^ 0x4e1f'93c2'a7d0'b815ULL);
+  unsigned Classes =
+      static_cast<unsigned>(R.range(1, 2 + static_cast<int64_t>(3 * Scale)));
+  unsigned Rounds =
+      static_cast<unsigned>(R.range(4, 6 + static_cast<int64_t>(14 * Scale)));
+  std::ostringstream S;
+  for (unsigned C = 0; C < Classes; ++C) {
+    S << "class Box" << C << "[T](init: T) {\n";
+    S << "  val first: T = init\n";
+    S << "  var cur: T = init\n";
+    S << "  def get(): T = cur\n";
+    S << "  def put(x: T): Unit = { cur = x }\n";
+    S << "  def swap(x: T): T = { val old = cur; cur = x; old }\n";
+    S << "  def map[U](f: (T) => U): Box" << C << "[U] = new Box" << C
+      << "[U](f(cur))\n";
+    S << "}\n";
+  }
+  S << "case class Two[A, B](a: A, b: B)\n";
+  S << "object Main {\n";
+  S << "  def pick[A](l: A, r: A, left: Boolean): A = if (left) l else r\n";
+  S << "  def twice[A](f: (A) => A, x: A): A = f(f(x))\n";
+  S << "  def compose[A, B, C](f: (A) => B, g: (B) => C): (A) => C =\n";
+  S << "    (x: A) => g(f(x))\n";
+  S << "  def main(args: Array[String]): Unit = {\n";
+  S << "    var acc = " << numStr(R, 1, 9) << "\n";
+  for (unsigned I = 0; I < Rounds; ++I) {
+    std::string N = std::to_string(I);
+    std::string Box = "Box" + std::to_string(R.below(Classes));
+    switch (R.below(5)) {
+    case 0: // var field written and read at Int
+      S << "    val b" << N << " = new " << Box << "[Int](acc % "
+        << numStr(R, 5, 50) << ")\n";
+      S << "    b" << N << ".cur = b" << N << ".cur + " << numStr(R, 1, 9)
+        << "\n";
+      S << "    b" << N << ".put(b" << N << ".get() * " << numStr(R, 2, 5)
+        << ")\n";
+      S << "    acc = acc + b" << N << ".cur + b" << N << ".first\n";
+      break;
+    case 1: // the same at String
+      S << "    val s" << N << " = new " << Box << "[String](\"s"
+        << numStr(R, 1, 99) << "\")\n";
+      S << "    s" << N << ".cur = s" << N << ".cur + \"x\"\n";
+      S << "    acc = acc + s" << N << ".swap(\"y\").length + s" << N
+        << ".get().length\n";
+      break;
+    case 2: // function values through generic methods
+      S << "    val f" << N << " = (k: Int) => k * " << numStr(R, 2, 7)
+        << " + " << numStr(R, 1, 9) << "\n";
+      S << "    acc = twice[Int](f" << N << ", acc % " << numStr(R, 10, 90)
+        << ") + pick[Int](acc % 7, " << numStr(R, 1, 9)
+        << ", acc % 2 == 0)\n";
+      break;
+    case 3: // a generic method of a generic class
+      S << "    val m" << N << " = new " << Box << "[Int](acc).map[String]("
+        << "(k: Int) => if (k % 2 == 0) \"even\" else \"odd\")\n";
+      S << "    acc = acc % " << numStr(R, 50, 500) << " + m" << N
+        << ".get().length + m" << N << ".first.length\n";
+      break;
+    default: // a composed function value applied to a generic field
+      S << "    val t" << N << " = Two[Int, String](acc % "
+        << numStr(R, 10, 90) << ", \"t\")\n";
+      S << "    val h" << N << " = compose[Int, Int, Int]((k: Int) => k + "
+        << numStr(R, 1, 9) << ", (k: Int) => k * 2)\n";
+      S << "    acc = h" << N << "(t" << N << ".a) + t" << N
+        << ".b.length\n";
+      break;
+    }
+    S << "    println(acc)\n";
+  }
+  S << "  }\n}\n";
+  return {{"generics.scala", S.str()}};
+}
+
 /// Invalid families corrupt the deterministic Mixed base for the same
 /// seed, so every mutation applies to realistic, feature-rich input.
 
@@ -591,6 +672,8 @@ std::vector<SourceInput> mpc::generateFamily(Family F, uint64_t Seed,
     return genUnbalancedDelims(Seed, Scale);
   case Family::TypeErrorSeeded:
     return genTypeErrorSeeded(Seed, Scale);
+  case Family::Generics:
+    return genGenerics(Seed, Scale);
   }
   return {};
 }

@@ -63,6 +63,8 @@ enum class Family : uint8_t {
   TokenMutation,    // word-level replace/delete/duplicate mutations
   UnbalancedDelims, // deleted or inserted braces/parens/brackets
   TypeErrorSeeded,  // parses cleanly, fails in the typer
+  // Valid (appended, so the families above keep their values).
+  Generics, // generic classes, methods and function values at concrete types
 };
 
 const char *familyName(Family F);

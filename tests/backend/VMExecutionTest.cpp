@@ -14,6 +14,7 @@
 
 #include "backend/Execution.h"
 #include "backend/Linker.h"
+#include "backend/Verifier.h"
 #include "backend/VM.h"
 #include "driver/Driver.h"
 #include "support/CancelToken.h"
@@ -56,11 +57,10 @@ Outcome fromResult(const ExecResult &R) {
   return O;
 }
 
-/// Compiles through the full fused pipeline with the bytecode verifier
-/// enabled (the VM suites always verify). Fails the test on frontend or
-/// verifier trouble.
+/// Compiles through the full fused pipeline and runs the bytecode verifier
+/// (the VM suites always verify). Fails the test on frontend or verifier
+/// trouble.
 CompileOutput compile(CompilerContext &Comp, std::vector<SourceInput> Sources) {
-  Comp.options().VerifyBytecode = true;
   CompileOutput Out =
       compileProgram(Comp, std::move(Sources), PipelineKind::StandardFused);
   if (Comp.diags().hasErrors()) {
@@ -68,7 +68,7 @@ CompileOutput compile(CompilerContext &Comp, std::vector<SourceInput> Sources) {
     Comp.diags().printAll(OS);
     ADD_FAILURE() << "frontend errors:\n" << OS.str();
   }
-  for (const VerifyFailure &F : Out.Prog.VerifyFailures)
+  for (const VerifyFailure &F : verifyProgram(Out.Prog))
     ADD_FAILURE() << "verifier: pc " << F.Pc << ": " << F.Message;
   EXPECT_FALSE(Out.EntryPoints.empty()) << "no entry point";
   return Out;
@@ -495,15 +495,15 @@ object Main {
 }
 )";
   CompilerContext Comp;
-  Comp.options().Engine = ExecEngine::VM;
   std::vector<SourceInput> Sources;
   Sources.push_back({"vm.scala", Source});
   CompileOutput Out = compile(Comp, std::move(Sources));
   ASSERT_FALSE(Out.EntryPoints.empty());
 
+  ExecOptions Opts;
+  Opts.Engine = ExecEngine::VM;
   ExecResult R = executeProgram(Comp, Out.Units, Out.Prog,
-                                Out.EntryPoints.front(),
-                                execOptionsFrom(Comp));
+                                Out.EntryPoints.front(), Opts);
   EXPECT_FALSE(R.Uncaught) << R.Error;
   EXPECT_EQ(R.Output, "42\n");
   // The VM flushed its counters into the context's stats.

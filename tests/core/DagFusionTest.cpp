@@ -1,9 +1,8 @@
 //===----------------------------------------------------------------------===//
-// DAG-fusion tests (§9 future work): with CompilerOptions::DagMemoize, a
-// fused block transforms a shared subtree once and reuses the result at
-// every other occurrence, preserving sharing in the output. Blocks with
-// prepare hooks opt out automatically (their transforms are path-
-// dependent by design).
+// DAG-input tests: a unit whose tree shares a subtree between parents (the
+// paper's §9 DAG case) is walked as a tree. The fused block transforms the
+// shared subtree at each occurrence, so every occurrence comes out
+// correctly transformed, and the rebuilt occurrences are separate nodes.
 //===----------------------------------------------------------------------===//
 
 #include "ast/TreeUtils.h"
@@ -29,14 +28,6 @@ public:
   int Hits = 0;
 };
 
-/// Same as BumpLiterals but with a (vacuous) prepare hook, which must
-/// disable memoization for any block containing it.
-class BumpWithPrepare : public BumpLiterals {
-public:
-  BumpWithPrepare() { declarePrepares({TreeKind::Block}); }
-  void prepareForBlock(Block *, PhaseRunContext &) override {}
-};
-
 /// A Block whose two statement slots reference the SAME subtree — a DAG.
 CompilationUnit sharedLiteralUnit(CompilerContext &Comp, int Value) {
   TreePtr Shared = Comp.trees().makeLiteral(
@@ -52,108 +43,19 @@ CompilationUnit sharedLiteralUnit(CompilerContext &Comp, int Value) {
   return Unit;
 }
 
-TEST(DagFusion, SharedSubtreeTransformedOnce) {
+TEST(DagFusion, SharedSubtreeIsTransformedAtEachOccurrence) {
   CompilerContext Comp;
-  Comp.options().DagMemoize = true;
   BumpLiterals Bump;
   FusedBlock Blk({&Bump});
   CompilationUnit Unit = sharedLiteralUnit(Comp, 10);
   Blk.runOnUnit(Unit, Comp);
-  // Two occurrences of the shared literal cost one transform + one memo
-  // hit; the block's own result literal adds the second transform.
-  EXPECT_EQ(Bump.Hits, 2);
-  EXPECT_EQ(Blk.sharedHits(), 1u);
-  auto *Root = cast<Block>(Unit.Root.get());
-  EXPECT_EQ(cast<Literal>(Root->stat(0))->value().intValue(), 11);
-  EXPECT_EQ(cast<Literal>(Root->stat(1))->value().intValue(), 11);
-}
-
-TEST(DagFusion, SharingIsPreservedInOutput) {
-  CompilerContext Comp;
-  Comp.options().DagMemoize = true;
-  BumpLiterals Bump;
-  FusedBlock Blk({&Bump});
-  CompilationUnit Unit = sharedLiteralUnit(Comp, 10);
-  Blk.runOnUnit(Unit, Comp);
-  auto *Root = cast<Block>(Unit.Root.get());
-  EXPECT_EQ(Root->stat(0), Root->stat(1)) << "output lost sharing";
-}
-
-TEST(DagFusion, WithoutMemoizationSharingIsLost) {
-  CompilerContext Comp; // DagMemoize defaults to false
-  BumpLiterals Bump;
-  FusedBlock Blk({&Bump});
-  CompilationUnit Unit = sharedLiteralUnit(Comp, 10);
-  Blk.runOnUnit(Unit, Comp);
+  // Both occurrences of the shared literal plus the block's own result.
+  EXPECT_EQ(Bump.Hits, 3);
   auto *Root = cast<Block>(Unit.Root.get());
   // Values agree but the nodes were rebuilt independently.
   EXPECT_EQ(cast<Literal>(Root->stat(0))->value().intValue(), 11);
   EXPECT_EQ(cast<Literal>(Root->stat(1))->value().intValue(), 11);
   EXPECT_NE(Root->stat(0), Root->stat(1));
-  EXPECT_EQ(Blk.sharedHits(), 0u);
-}
-
-TEST(DagFusion, TreeAndDagModesAgreeStructurally) {
-  CompilerContext Comp;
-  BumpLiterals B1, B2;
-  CompilationUnit U1 = sharedLiteralUnit(Comp, 3);
-  CompilationUnit U2 = sharedLiteralUnit(Comp, 3);
-
-  FusedBlock TreeMode({&B1});
-  TreeMode.runOnUnit(U1, Comp);
-
-  Comp.options().DagMemoize = true;
-  FusedBlock DagMode({&B2});
-  DagMode.runOnUnit(U2, Comp);
-
-  EXPECT_TRUE(treeEquals(U1.Root.get(), U2.Root.get()));
-}
-
-TEST(DagFusion, PreparesDisableMemoization) {
-  CompilerContext Comp;
-  Comp.options().DagMemoize = true;
-  BumpWithPrepare Bump;
-  FusedBlock Blk({&Bump});
-  EXPECT_TRUE(Blk.hasPrepares());
-  CompilationUnit Unit = sharedLiteralUnit(Comp, 10);
-  Blk.runOnUnit(Unit, Comp);
-  EXPECT_EQ(Blk.sharedHits(), 0u);
-  // Still correct, just without reuse.
-  auto *Root = cast<Block>(Unit.Root.get());
-  EXPECT_EQ(cast<Literal>(Root->stat(0))->value().intValue(), 11);
-  EXPECT_EQ(cast<Literal>(Root->stat(1))->value().intValue(), 11);
-}
-
-TEST(DagFusion, DeepSharedSubtreeWalkedOnce) {
-  // Share a whole Block subtree; its children must be visited only once.
-  CompilerContext Comp;
-  Comp.options().DagMemoize = true;
-  TreeList InnerStats;
-  InnerStats.push_back(Comp.trees().makeLiteral(
-      SourceLoc(), Constant::makeInt(1), Comp.types().intType()));
-  TreePtr SharedBlock = Comp.trees().makeBlock(
-      SourceLoc(), std::move(InnerStats),
-      Comp.trees().makeLiteral(SourceLoc(), Constant::makeInt(2),
-                               Comp.types().intType()));
-  TreeList Stats;
-  Stats.push_back(SharedBlock);
-  Stats.push_back(SharedBlock);
-  Stats.push_back(SharedBlock);
-  CompilationUnit Unit;
-  Unit.Root = Comp.trees().makeBlock(
-      SourceLoc(), std::move(Stats),
-      Comp.trees().makeLiteral(SourceLoc(), Constant::makeInt(3),
-                               Comp.types().intType()));
-
-  BumpLiterals Bump;
-  FusedBlock Blk({&Bump});
-  Blk.runOnUnit(Unit, Comp);
-  // Visits: root + shared block (once) + its 2 literals + root literal.
-  EXPECT_EQ(Blk.sharedHits(), 2u);
-  EXPECT_EQ(Bump.Hits, 3); // two inner literals + the root's literal
-  auto *Root = cast<Block>(Unit.Root.get());
-  EXPECT_EQ(Root->stat(0), Root->stat(1));
-  EXPECT_EQ(Root->stat(1), Root->stat(2));
 }
 
 } // namespace

@@ -13,9 +13,10 @@
 //   * Queue behavior: enqueue-while-running across multiple drains keeps
 //     in-order delivery and accumulates counters.
 //   * Artifact cache: a cache-hit drain is byte-identical to a
-//     cache-disabled run at worker counts 1/4/8, error results replay or
-//     recompile per CacheErrors, and the service counters track
-//     hits/misses/bytes.
+//     cache-disabled run at worker counts 1/4/8, error results replay
+//     byte-identically, and the service counters track hits/misses/bytes.
+//   * Stats: stats() holds still between drains, and the deterministic
+//     counters reach equal totals at 1 and 4 workers.
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompileService.h"
@@ -236,8 +237,8 @@ TEST(CompileService, CacheKeysOnSourceContent) {
 }
 
 TEST(CompileService, ErrorResultsReplayDeterministically) {
-  // CacheErrors on (default): the second failing job is a hit and its
-  // diagnostics replay byte-identically.
+  // The second failing job is a hit and its diagnostics replay
+  // byte-identically.
   ServiceConfig Cfg;
   Cfg.Threads = 1;
   CompileService Service(Cfg);
@@ -253,22 +254,6 @@ TEST(CompileService, ErrorResultsReplayDeterministically) {
   EXPECT_TRUE(Results[1].HadErrors);
   EXPECT_EQ(Results[0].DiagText, Results[1].DiagText);
   EXPECT_EQ(Service.stats().get("service.cacheHits"), 1u);
-
-  // CacheErrors off: both failing jobs compile, outputs still identical.
-  ServiceConfig NoErrCfg;
-  NoErrCfg.Threads = 1;
-  NoErrCfg.Cache.CacheErrors = false;
-  CompileService NoErr(NoErrCfg);
-  for (int I = 0; I < 2; ++I) {
-    BatchJob J;
-    J.Sources.push_back({"bad.scala", Bad});
-    NoErr.enqueue(std::move(J));
-  }
-  std::vector<BatchResult> NoErrResults = NoErr.drain();
-  ASSERT_EQ(NoErrResults.size(), 2u);
-  EXPECT_EQ(NoErrResults[0].DiagText, NoErrResults[1].DiagText);
-  EXPECT_EQ(NoErr.stats().get("service.cacheHits"), 0u);
-  EXPECT_EQ(NoErr.stats().get("service.cacheMisses"), 2u);
 }
 
 TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {
@@ -488,7 +473,7 @@ TEST(CompileService, OnResultModeDrainReturnsNothingButMergesStats) {
     ASSERT_TRUE(Service.tryEnqueue(std::move(J)).Accepted);
   }
   // Results went to the callback; drain() owes nothing but still
-  // quiesces and merges the worker sheaves.
+  // quiesces and merges the pending job counters.
   std::vector<BatchResult> Drained = Service.drain();
   EXPECT_TRUE(Drained.empty());
   EXPECT_EQ(Service.stats().get("service.jobsCompleted"), NumJobs);
@@ -513,6 +498,73 @@ TEST(CompileService, ErrorsStayIsolatedWithoutContexts) {
   EXPECT_TRUE(Results[1].HadErrors);
   EXPECT_NE(Results[1].DiagText.find("not found: missing"),
             std::string::npos);
+}
+
+/// stats() is a snapshot taken by drain(): jobs that complete after it
+/// do not move it, and the next drain folds them in. The deterministic
+/// counters (everything but wall-clock and page-pool gauges) reach the
+/// same totals at 1 and 4 workers, in drain-window and OnResult mode.
+TEST(CompileService, StatsStableBetweenDrainsAndEqualAcrossWorkerCounts) {
+  auto Wave = [](uint64_t FirstSeed) {
+    std::vector<BatchJob> Jobs;
+    for (uint64_t Seed = FirstSeed; Seed < FirstSeed + 4; ++Seed) {
+      WorkloadProfile P = stdlibProfile(0.01);
+      P.Seed = Seed;
+      P.UnitsHint = 1;
+      BatchJob J;
+      J.Sources = generateWorkload(P);
+      Jobs.push_back(std::move(J));
+    }
+    BatchJob Bad;
+    Bad.Sources.push_back({"bad.scala", "class C { def f(): Int = nope }"});
+    Jobs.push_back(std::move(Bad));
+    return Jobs;
+  };
+  auto Deterministic = [](const StatsRegistry &S) {
+    static const char *Varying[] = {
+        "service.busyMicros",    "service.workerUtilization",
+        "service.pagesShared",   "service.pagesMapped",
+        "service.realAllocs",    "service.queueDepthPeak",
+        "heap.pagesMapped",      "heap.realAllocs",
+        "heap.pagesTrimmed"};
+    std::map<std::string, uint64_t> Out = S.all();
+    for (const char *Key : Varying)
+      Out.erase(Key);
+    return Out;
+  };
+  for (bool Streaming : {false, true}) {
+    std::map<std::string, uint64_t> Totals[2];
+    for (unsigned Idx = 0; Idx < 2; ++Idx) {
+      unsigned Threads = Idx == 0 ? 1 : 4;
+      std::string Label = std::string(Streaming ? "OnResult" : "window") +
+                          " @ " + std::to_string(Threads) + " threads";
+      ResultSink Sink;
+      ServiceConfig Cfg;
+      Cfg.Threads = Threads;
+      if (Streaming)
+        Cfg.OnResult = Sink.callback();
+      CompileService Service(Cfg);
+      for (BatchJob &J : Wave(1))
+        ASSERT_TRUE(Service.tryEnqueue(std::move(J)).Accepted) << Label;
+      Service.drain();
+      std::map<std::string, uint64_t> AfterFirst = Service.stats().all();
+      EXPECT_EQ(AfterFirst.at("service.jobsCompleted"), 5u) << Label;
+
+      for (BatchJob &J : Wave(101))
+        ASSERT_TRUE(Service.tryEnqueue(std::move(J)).Accepted) << Label;
+      // Wait for every job to complete without draining.
+      while (Service.pendingJobs() != 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      EXPECT_EQ(Service.stats().all(), AfterFirst) << Label;
+
+      Service.drain();
+      EXPECT_EQ(Service.stats().get("service.jobsCompleted"), 10u) << Label;
+      EXPECT_GT(Service.stats().get("fusion.nodesVisited"), 0u) << Label;
+      Totals[Idx] = Deterministic(Service.stats());
+    }
+    EXPECT_EQ(Totals[0], Totals[1])
+        << (Streaming ? "OnResult" : "window") << " mode";
+  }
 }
 
 } // namespace

@@ -253,7 +253,6 @@ TEST(ServiceAdmission, PriorityLanesFollowBurstCappedSchedule) {
 
   ServiceConfig Cfg;
   Cfg.Threads = 1;
-  Cfg.InteractiveBurst = 3;
   Cfg.Cache.Enabled = false;
   CompileService Service(Cfg);
 
@@ -271,7 +270,7 @@ TEST(ServiceAdmission, PriorityLanesFollowBurstCappedSchedule) {
   // One gated worker => the dequeue schedule is exact. Interactive jobs
   // I0..I7 (enqueue ids 1..8) and batch B0,B1 (ids 9,10) interleave as:
   // blocker, I0, I1, B0, I2, I3, I4, B1, I5, I6, I7 — batch gets a slot
-  // after every InteractiveBurst consecutive interactive dequeues.
+  // after every InteractiveRunCap (3) consecutive interactive dequeues.
   const uint64_t ExpectedSeq[11] = {0, 1, 2, 4, 5, 6, 8, 9, 10, 3, 7};
   for (size_t I = 0; I < 11; ++I) {
     EXPECT_EQ(Results[I].DequeueSeq, ExpectedSeq[I]) << "job " << I;

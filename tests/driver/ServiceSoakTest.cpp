@@ -1,7 +1,8 @@
 //===----------------------------------------------------------------------===//
 // Soak test: a long-lived service under a randomized mixed stream —
-// valid jobs, invalid jobs (parse/type errors), deadline-doomed jobs,
-// and low-rate fault injection — must reach a resource fixed point:
+// valid jobs (corpus and generic programs), invalid jobs (parse/type
+// errors), deadline-doomed jobs, and low-rate fault injection — must
+// reach a resource fixed point:
 //
 //   * service.pagesMapped (fresh system mappings) plateaus after warmup:
 //     steady-state rounds run on pages earlier jobs released into the
@@ -54,10 +55,14 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
     for (unsigned I = 0; I < JobsPerRound; ++I) {
       BatchJob J;
       uint64_t Roll = R.next() % 100;
-      if (Roll < 55) {
+      if (Roll < 45) {
         const auto &Corpus = corpusPrograms();
         const CorpusProgram &P = Corpus[R.next() % Corpus.size()];
         J.Sources.push_back({P.Name + ".scala", P.Source});
+      } else if (Roll < 55) {
+        // Generic code, so Erasure's cast insertion runs in the soak.
+        J.Sources = generateFamily(Family::Generics, R.next() % 64,
+                                   /*Scale=*/0.1);
       } else if (Roll < 65) {
         J.Sources.push_back({"parse_err.scala", "class { def broken("});
       } else if (Roll < 75) {

@@ -8,6 +8,7 @@
 #include "core/Pipeline.h"
 #include "frontend/Frontend.h"
 #include "transforms/StandardPlan.h"
+#include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
 
@@ -282,6 +283,25 @@ void expectOnlyChangedSpinesRebuilt(Tree *Old, Tree *Out, unsigned &Kept,
   }
   EXPECT_TRUE(KidChanged || ownTypesDiffer(Old, Out))
       << "rebuilt an unchanged " << treeKindName(Old->kind());
+}
+
+/// Every program of the Generics family makes Erasure insert casts, so
+/// the suites that draw from the valid families exercise cast insertion.
+TEST(ErasureTest, GenericsFamilyMakesErasureInsertCasts) {
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    std::vector<SourceInput> Sources =
+        generateFamily(Family::Generics, Seed, /*Scale=*/0.25);
+    ASSERT_EQ(Sources.size(), 1u);
+    CompilerContext Comp;
+    TreePtr Before;
+    uint64_t Created = 0;
+    CompilationUnit U =
+        eraseFresh(Comp, Sources[0].Text.c_str(), Before, Created);
+    std::vector<Tree *> CastsBefore, CastsAfter;
+    collectKind(Before.get(), TreeKind::Typed, CastsBefore);
+    collectKind(U.Root.get(), TreeKind::Typed, CastsAfter);
+    EXPECT_GT(CastsAfter.size(), CastsBefore.size()) << "seed " << Seed;
+  }
 }
 
 TEST(ErasureTest, MonomorphicUnitIsReturnedUntouched) {

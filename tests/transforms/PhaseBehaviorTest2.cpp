@@ -9,6 +9,7 @@
 
 #include "ast/TreeUtils.h"
 #include "backend/Execution.h"
+#include "backend/Verifier.h"
 #include "core/Pipeline.h"
 #include "driver/Driver.h"
 #include "frontend/Frontend.h"
@@ -258,18 +259,17 @@ class C {
 // fused pipeline on both engines against a hand-written expected output.
 //===----------------------------------------------------------------------===//
 
-/// Compiles \p Source (fused pipeline) and returns the output of main on
-/// the tree-walker; expects the VM to print the same and both to finish
-/// without an uncaught exception.
-std::string runOnBothEngines(const char *Source) {
+/// Compiles \p Source (fused pipeline unless \p Kind says otherwise) and
+/// returns the output of main on the tree-walker; expects the VM to print
+/// the same and both to finish without an uncaught exception.
+std::string runOnBothEngines(const char *Source,
+                             PipelineKind Kind = PipelineKind::StandardFused) {
   CompilerContext Comp;
-  Comp.options().VerifyBytecode = true;
   std::vector<SourceInput> Sources;
   Sources.push_back({"t.scala", Source});
-  CompileOutput Out =
-      compileProgram(Comp, std::move(Sources), PipelineKind::StandardFused);
+  CompileOutput Out = compileProgram(Comp, std::move(Sources), Kind);
   EXPECT_FALSE(Comp.diags().hasErrors());
-  EXPECT_TRUE(Out.Prog.VerifyFailures.empty());
+  EXPECT_TRUE(verifyProgram(Out.Prog).empty());
   if (Out.EntryPoints.empty()) {
     ADD_FAILURE() << "no entry point";
     return "";
@@ -351,6 +351,27 @@ object Main {
 }
 )"),
             "32\n22\n");
+}
+
+/// An assignment to a var field whose declared type is a type parameter:
+/// Erasure casts the field's erased type on reads, never on the store's
+/// lhs, so the write lands in the field.
+TEST(Erasure2, StoreToTypeParameterFieldIsKept) {
+  const char *Source = R"(
+class G[T](i: T) { var n: T = i }
+object Main {
+  def main(args: Array[String]): Unit = {
+    val g = new G[Int](1)
+    g.n = 5
+    println(g.n)
+  }
+}
+)";
+  for (PipelineKind Kind : {PipelineKind::StandardFused,
+                            PipelineKind::StandardUnfused,
+                            PipelineKind::Legacy})
+    EXPECT_EQ(runOnBothEngines(Source, Kind), "5\n")
+        << "pipeline " << static_cast<int>(Kind);
 }
 
 //===----------------------------------------------------------------------===//

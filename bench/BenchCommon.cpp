@@ -6,7 +6,7 @@
 #include "support/Timer.h"
 #include "transforms/StandardPlan.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -27,40 +27,25 @@ unsigned mpc::bench::benchReps(unsigned Def) {
   return Def;
 }
 
-SampleStats mpc::bench::meanCv(const std::vector<double> &Samples) {
-  SampleStats S;
+Summary mpc::bench::summarize(std::vector<double> Samples) {
+  Summary S;
   if (Samples.empty())
     return S;
-  double Sum = 0;
-  for (double V : Samples)
-    Sum += V;
-  S.Mean = Sum / double(Samples.size());
-  if (Samples.size() < 2 || S.Mean == 0)
-    return S;
-  double Var = 0;
-  for (double V : Samples)
-    Var += (V - S.Mean) * (V - S.Mean);
-  Var /= double(Samples.size() - 1);
-  S.CvPct = 100.0 * std::sqrt(Var) / S.Mean;
+  std::sort(Samples.begin(), Samples.end());
+  size_t N = Samples.size();
+  S.Median = N % 2 ? Samples[N / 2]
+                   : (Samples[N / 2 - 1] + Samples[N / 2]) / 2;
+  S.Min = Samples.front();
+  S.Max = Samples.back();
   return S;
 }
 
-std::string mpc::bench::fmtMeanCv(const SampleStats &S) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%.3fs ±%.1f%%", S.Mean, S.CvPct);
+std::string mpc::bench::fmtSummary(const Summary &S, const char *Unit,
+                                   int Digits) {
+  char Buf[96];
+  std::snprintf(Buf, sizeof(Buf), "%.*f%s [%.*f, %.*f]", Digits, S.Median,
+                Unit, Digits, S.Min, Digits, S.Max);
   return Buf;
-}
-
-void mpc::bench::jsonMetric(const std::string &Bench, const std::string &Key,
-                            double Value) {
-  const char *Path = std::getenv("MPC_BENCH_JSON");
-  if (!Path)
-    return;
-  if (std::FILE *F = std::fopen(Path, "a")) {
-    std::fprintf(F, "{\"bench\":\"%s\",\"key\":\"%s\",\"value\":%.6f}\n",
-                 Bench.c_str(), Key.c_str(), Value);
-    std::fclose(F);
-  }
 }
 
 RunResult mpc::bench::runOnce(const WorkloadProfile &Profile,
@@ -112,11 +97,7 @@ RunResult mpc::bench::runOnce(const WorkloadProfile &Profile,
       PipelineResult PR = Pipeline.run(Units, Comp);
       R.TransformSec = T.elapsedSeconds();
       R.Traversals = PR.Traversals;
-      R.NodesVisited = PR.NodesVisited;
-      R.HooksExecuted = PR.HooksExecuted;
       R.SubtreesPruned = PR.SubtreesPruned;
-      R.PrepareOnlyWalks = PR.PrepareOnlyWalks;
-      R.TransformRealAllocs = PR.RealAllocs;
     }
     if (Stop == StopAfter::Everything) {
       T.reset();
@@ -134,7 +115,6 @@ RunResult mpc::bench::runOnce(const WorkloadProfile &Profile,
     R.RealAllocs = Backend.SystemCalls;
     R.SlabHits = Backend.SlabAllocs;
     R.PagesMapped = Backend.PagesMapped;
-    R.PagesRetired = Backend.PagesRetired;
   }
   R.Cache = CS.counters();
   R.Perf = PC.stats();

@@ -4,7 +4,8 @@
 /// Shared measurement harness for the figure benchmarks. Mirrors the
 /// paper's methodology (§5.3): to isolate the tree-transformation
 /// pipeline, a run stopping after the front end is subtracted from a run
-/// stopping after the transformations.
+/// stopping after the transformations. Each bench repeats a configuration
+/// benchReps() times and prints the median and range of the samples.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,18 +37,13 @@ struct RunResult {
   uint64_t Traversals = 0;
   uint64_t Loc = 0;
   uint64_t NodesBeforeTransforms = 0;
-  /// Fusion-engine counters for the transform stage (fused runs only).
-  uint64_t NodesVisited = 0;
-  uint64_t HooksExecuted = 0;
+  /// Subtrees the fusion engine pruned in the transform stage.
   uint64_t SubtreesPruned = 0;
-  uint64_t PrepareOnlyWalks = 0;
-  /// Real-storage allocator counters (system-allocator calls, slab-served
-  /// allocations, slab pages) — whole run and transform-stage slice.
+  /// Real-storage allocator counters for the whole run (system-allocator
+  /// calls, slab-served allocations, slab pages).
   uint64_t RealAllocs = 0;
   uint64_t SlabHits = 0;
   uint64_t PagesMapped = 0;
-  uint64_t PagesRetired = 0;
-  uint64_t TransformRealAllocs = 0;
   HeapStats Heap;        // whole-run heap statistics
   CacheCounters Cache;   // simulated cache counters (when simulated)
   PerfStats Perf;        // simulated instruction/cycle counters
@@ -81,21 +77,18 @@ double benchScale(double Def = 1.0);
 /// the figure benches measure per configuration.
 unsigned benchReps(unsigned Def = 5);
 
-/// Mean and coefficient of variation of a sample set.
-struct SampleStats {
-  double Mean = 0;
-  double CvPct = 0; // stddev / mean, in percent
+/// Median and range of a sample set: the one summary every bench prints.
+struct Summary {
+  double Median = 0;
+  double Min = 0;
+  double Max = 0;
 };
-SampleStats meanCv(const std::vector<double> &Samples);
+Summary summarize(std::vector<double> Samples);
 
-/// Formats a measured time with its spread: "0.123s ±2.1%".
-std::string fmtMeanCv(const SampleStats &S);
-
-/// When MPC_BENCH_JSON names a file, appends one JSON-lines record
-/// {"bench":...,"key":...,"value":...} — the machine-readable trail the
-/// CI bench job archives. No-op otherwise.
-void jsonMetric(const std::string &Bench, const std::string &Key,
-                double Value);
+/// Formats a summary as "<median><unit> [<min>, <max>]" with \p Digits
+/// decimals, e.g. "0.123s [0.120, 0.131]".
+std::string fmtSummary(const Summary &S, const char *Unit = "s",
+                       int Digits = 3);
 
 /// Formatting helpers.
 void printHeader(const std::string &Title, const std::string &PaperClaim);

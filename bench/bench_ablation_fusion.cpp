@@ -4,7 +4,7 @@
 // dispatch lists (flattened into contiguous buffers), and (3) subtree
 // pruning via the per-tree kind summary — measured by running the same
 // fused pipeline with the optimizations selectively disabled. Times are
-// means over repetitions with CV reported (BenchCommon::meanCv).
+// the median and range over repetitions (BenchCommon::summarize).
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -22,7 +22,7 @@ using namespace mpc::bench;
 namespace {
 
 struct ConfigResult {
-  SampleStats Time;                     // over all repetitions
+  Summary Time;                         // over all repetitions
   uint64_t Hooks = 0;                   // counters from one repetition
   uint64_t Visited = 0;
   uint64_t Pruned = 0;
@@ -55,13 +55,13 @@ ConfigResult runConfig(const WorkloadProfile &P, FusionStrategy Strategy,
     for (FusedBlock *B : Plan.fusedBlocks())
       R.PerBlockVisited.push_back(B->nodesVisited());
   }
-  R.Time = meanCv(Samples);
+  R.Time = summarize(Samples);
   return R;
 }
 
 void printRow(const char *Name, const ConfigResult &R) {
-  std::printf("  %-44s %16s %13llu %13llu %10llu\n", Name,
-              fmtMeanCv(R.Time).c_str(), (unsigned long long)R.Hooks,
+  std::printf("  %-44s %24s %13llu %13llu %10llu\n", Name,
+              fmtSummary(R.Time).c_str(), (unsigned long long)R.Hooks,
               (unsigned long long)R.Visited, (unsigned long long)R.Pruned);
 }
 
@@ -91,7 +91,7 @@ int main() {
   ConfigResult NoSkip =
       runConfig(P, FusionStrategy::Naive, false, false, Reps);
 
-  std::printf("\n  %-44s %16s %13s %13s %10s\n", "configuration", "time",
+  std::printf("\n  %-44s %24s %13s %13s %10s\n", "configuration", "time",
               "hooks", "nodes visited", "pruned");
   printRow("lists + skip + subtree pruning (shipped)", Shipped);
   printRow("lists + skip, pruning off", NoPrune);
@@ -122,19 +122,6 @@ int main() {
                                double(NoPrune.Visited)))
                   .c_str(),
               fmtPct(-BestCut).c_str(),
-              fmtPct(Shipped.Time.Mean / NoSkip.Time.Mean - 1.0).c_str());
-
-  jsonMetric("ablation_fusion", "shipped_sec", Shipped.Time.Mean);
-  jsonMetric("ablation_fusion", "shipped_cv_pct", Shipped.Time.CvPct);
-  jsonMetric("ablation_fusion", "noprune_sec", NoPrune.Time.Mean);
-  jsonMetric("ablation_fusion", "naive_sec", Naive.Time.Mean);
-  jsonMetric("ablation_fusion", "noskip_sec", NoSkip.Time.Mean);
-  jsonMetric("ablation_fusion", "nodes_visited_shipped",
-             double(Shipped.Visited));
-  jsonMetric("ablation_fusion", "nodes_visited_noprune",
-             double(NoPrune.Visited));
-  jsonMetric("ablation_fusion", "subtrees_pruned", double(Shipped.Pruned));
-  jsonMetric("ablation_fusion", "best_block_visited_cut_pct",
-             100.0 * BestCut);
+              fmtPct(Shipped.Time.Median / NoSkip.Time.Median - 1.0).c_str());
   return 0;
 }

@@ -6,8 +6,9 @@
 // This bench compiles both workloads with the TreeChecker disabled and
 // enabled (global invariants + bottom-up retype + accumulated phase
 // postconditions after every group, exactly Listing 9) and reports the
-// whole-compiler slowdown over benchReps() repetitions as mean ±CV
-// (BenchCommon::meanCv), alternating the configurations per repetition.
+// whole-compiler slowdown over benchReps() repetitions as the median and
+// range (BenchCommon::summarize), alternating the configurations per
+// repetition.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -77,26 +78,22 @@ void runWorkload(const WorkloadProfile &P, unsigned Reps) {
     OnTotal.push_back(On.TotalSec);
     Failures += On.FailuresFound;
   }
-  SampleStats OffT = meanCv(OffTransform), OnT = meanCv(OnTransform);
-  SampleStats OffA = meanCv(OffTotal), OnA = meanCv(OnTotal);
+  Summary OffT = summarize(OffTransform), OnT = summarize(OnTransform);
+  Summary OffA = summarize(OffTotal), OnA = summarize(OnTotal);
 
   std::printf("\n[%s: %u reps]\n", P.Name.c_str(), Reps);
-  std::printf("  %-28s %16s %16s %10s\n", "", "-Ycheck off", "-Ycheck on",
+  std::printf("  %-28s %24s %24s %10s\n", "", "-Ycheck off", "-Ycheck on",
               "ratio");
-  std::printf("  %-28s %16s %16s %9.2fx\n", "tree transformations",
-              fmtMeanCv(OffT).c_str(), fmtMeanCv(OnT).c_str(),
-              OnT.Mean / OffT.Mean);
-  std::printf("  %-28s %16s %16s %9.2fx\n", "whole compiler",
-              fmtMeanCv(OffA).c_str(), fmtMeanCv(OnA).c_str(),
-              OnA.Mean / OffA.Mean);
+  std::printf("  %-28s %24s %24s %9.2fx\n", "tree transformations",
+              fmtSummary(OffT).c_str(), fmtSummary(OnT).c_str(),
+              OnT.Median / OffT.Median);
+  std::printf("  %-28s %24s %24s %9.2fx\n", "whole compiler",
+              fmtSummary(OffA).c_str(), fmtSummary(OnA).c_str(),
+              OnA.Median / OffA.Median);
   std::printf("  checker failures: %llu (must be 0 on a healthy pipeline)\n",
               (unsigned long long)Failures);
   if (Failures != 0)
     std::abort();
-
-  jsonMetric("checker_" + P.Name, "total_off_sec", OffA.Mean);
-  jsonMetric("checker_" + P.Name, "total_on_sec", OnA.Mean);
-  jsonMetric("checker_" + P.Name, "total_ratio", OnA.Mean / OffA.Mean);
 }
 
 } // namespace

@@ -1,14 +1,14 @@
 //===----------------------------------------------------------------------===//
-// Stress-family benchmark: full-pipeline wall time per generator family,
-// one BENCH_ci.json row each. Valid families measure the compile cost of
-// adversarially-shaped (but well-typed) programs plus one run on each
-// engine (runPipelineOnce runs the tree-walker and the VM); invalid families
-// measure the error path — parse recovery, poisoned typing, and
-// diagnostics — which the compile service pays on every malformed job.
+// Stress-family benchmark: full-pipeline wall time per generator family.
+// Valid families measure the compile cost of adversarially-shaped (but
+// well-typed) programs plus one run on each engine (runPipelineOnce runs
+// the tree-walker and the VM); invalid families measure the error path —
+// parse recovery, poisoned typing, and diagnostics — which the compile
+// service pays on every malformed job.
 //
 // Protocol: MPC_BENCH_REPS repetitions of an 8-seed batch per family,
-// mean ±CV of batch wall time, plus diagnostics counters from the last
-// repetition.
+// median and range of batch wall time, plus diagnostics counters from the
+// last repetition. A crash in any family fails the run.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -23,7 +23,8 @@ using namespace mpc::bench;
 
 namespace {
 
-void runFamily(Family F, double Scale, unsigned Reps) {
+/// Returns false when a case crashed.
+bool runFamily(Family F, double Scale, unsigned Reps) {
   const uint64_t Seeds = 8;
   std::vector<double> Samples;
   uint64_t Diags = 0, Clean = 0;
@@ -40,7 +41,7 @@ void runFamily(Family F, double Scale, unsigned Reps) {
       if (O.Crashed) {
         std::printf("  CRASH in %s seed %llu: %s\n", familyName(F),
                     (unsigned long long)S, O.Error.c_str());
-        return;
+        return false;
       }
       if (O.HasErrors)
         ++Diags;
@@ -50,17 +51,11 @@ void runFamily(Family F, double Scale, unsigned Reps) {
     Samples.push_back(T.elapsedSeconds());
   }
 
-  SampleStats St = meanCv(Samples);
-  std::printf("  %-18s %16s  (%llu LOC, %llu clean, %llu diagnosed)\n",
-              familyName(F), fmtMeanCv(St).c_str(), (unsigned long long)Loc,
-              (unsigned long long)Clean, (unsigned long long)Diags);
-
-  std::string B = std::string("families_") + familyName(F);
-  jsonMetric(B, "batch_sec", St.Mean);
-  jsonMetric(B, "batch_cv_pct", St.CvPct);
-  jsonMetric(B, "loc", double(Loc));
-  jsonMetric(B, "clean", double(Clean));
-  jsonMetric(B, "diagnosed", double(Diags));
+  std::printf("  %-18s %24s  (%llu LOC, %llu clean, %llu diagnosed)\n",
+              familyName(F), fmtSummary(summarize(Samples)).c_str(),
+              (unsigned long long)Loc, (unsigned long long)Clean,
+              (unsigned long long)Diags);
+  return true;
 }
 
 } // namespace
@@ -78,7 +73,8 @@ int main() {
     CompilerContext Comp;
     (void)runPipelineOnce(Comp, generateFamily(F, 0, 0.1));
   }
+  bool Ok = true;
   for (Family F : allFamilies())
-    runFamily(F, Scale, Reps);
-  return 0;
+    Ok &= runFamily(F, Scale, Reps);
+  return Ok ? 0 : 1;
 }

@@ -3,8 +3,8 @@
 // typechecker (front end) and the code-generation backend, comparing the
 // Miniphase (fused) and Megaphase (unfused) versions of the compiler on
 // the stdlib-like (34 kLOC) and dotty-like (50 kLOC) workloads. Each
-// configuration is measured over repetitions; rows report the mean with
-// the coefficient of variation (BenchCommon::meanCv).
+// configuration is measured over repetitions; rows report the median and
+// range (BenchCommon::summarize).
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -47,35 +47,28 @@ void runWorkload(const WorkloadProfile &P, unsigned Reps) {
               (unsigned long long)Fused.Last.Traversals,
               (unsigned long long)Unfused.Last.Traversals,
               (unsigned long long)Fused.Last.SubtreesPruned);
-  std::printf("  %-22s %16s %16s %10s\n", "stage", "miniphase", "megaphase",
+  std::printf("  %-22s %24s %24s %10s\n", "stage", "miniphase", "megaphase",
               "delta");
   auto Row = [](const char *Stage, const std::vector<double> &A,
                 const std::vector<double> &B) {
-    SampleStats SA = meanCv(A), SB = meanCv(B);
-    std::printf("  %-22s %16s %16s %10s\n", Stage, fmtMeanCv(SA).c_str(),
-                fmtMeanCv(SB).c_str(), fmtPct(SA.Mean / SB.Mean - 1.0).c_str());
+    Summary SA = summarize(A), SB = summarize(B);
+    std::printf("  %-22s %24s %24s %10s\n", Stage, fmtSummary(SA).c_str(),
+                fmtSummary(SB).c_str(),
+                fmtPct(SA.Median / SB.Median - 1.0).c_str());
   };
   Row("frontend (typer)", Fused.Frontend, Unfused.Frontend);
   Row("tree transformations", Fused.Transform, Unfused.Transform);
   Row("backend (codegen)", Fused.Backend, Unfused.Backend);
   Row("total", Fused.Total, Unfused.Total);
 
-  SampleStats TF = meanCv(Fused.Transform), TU = meanCv(Unfused.Transform);
-  SampleStats AF = meanCv(Fused.Total), AU = meanCv(Unfused.Total);
+  Summary TF = summarize(Fused.Transform), TU = summarize(Unfused.Transform);
+  Summary AF = summarize(Fused.Total), AU = summarize(Unfused.Total);
   std::printf("  measured transform speedup: %s   (paper: %s)\n",
-              fmtPct(TF.Mean / TU.Mean - 1.0).c_str(),
+              fmtPct(TF.Median / TU.Median - 1.0).c_str(),
               P.Name == "stdlib" ? "-37%" : "-34%");
   std::printf("  measured total speedup:     %s   (paper: %s)\n",
-              fmtPct(AF.Mean / AU.Mean - 1.0).c_str(),
+              fmtPct(AF.Median / AU.Median - 1.0).c_str(),
               P.Name == "stdlib" ? "-15%" : "-16%");
-
-  jsonMetric("fig4_" + P.Name, "fused_total_sec", AF.Mean);
-  jsonMetric("fig4_" + P.Name, "fused_total_cv_pct", AF.CvPct);
-  jsonMetric("fig4_" + P.Name, "unfused_total_sec", AU.Mean);
-  jsonMetric("fig4_" + P.Name, "fused_transform_sec", TF.Mean);
-  jsonMetric("fig4_" + P.Name, "unfused_transform_sec", TU.Mean);
-  jsonMetric("fig4_" + P.Name, "subtrees_pruned",
-             double(Fused.Last.SubtreesPruned));
 }
 
 } // namespace

@@ -2,13 +2,12 @@
 // Figure 5: total size of objects allocated by the tree-transformation
 // pipeline (generational-heap model standing in for HotSpot's GC logs).
 //
-// Measured over repetitions (BenchCommon::meanCv): the simulated heap
-// counters are deterministic and asserted stable across reps; the
-// transform wall time is reported as mean ± CV. The bench additionally
-// reports the REAL allocator side — system-allocator calls per fused
-// pipeline run with the slab backend on vs. off — which is the number the
-// allocation-layer overhaul is accountable for (tracked in BENCH_ci.json
-// as allocations / objects / peak-live / real-allocation metrics).
+// Measured over repetitions: the simulated heap counters are
+// deterministic and asserted stable across reps; the transform wall time
+// is reported as median and range (BenchCommon::summarize). The bench
+// additionally reports the REAL allocator side — system-allocator calls
+// per fused pipeline run with the slab backend on vs. off — which is the
+// number the allocation-layer overhaul is accountable for.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -41,17 +40,17 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperDelta,
 
   uint64_t A = Fused.Heap.AllocatedBytes;
   uint64_t B = Unfused.Heap.AllocatedBytes;
-  SampleStats TF = meanCv(FusedSec), TU = meanCv(UnfusedSec);
+  Summary TF = summarize(FusedSec), TU = summarize(UnfusedSec);
   std::printf("\n[%s: %llu LOC]\n", P.Name.c_str(),
               (unsigned long long)Fused.Full.Loc);
   std::printf("  allocated (miniphase): %s  (%llu objects)  transform %s\n",
               fmtMB(A).c_str(),
               (unsigned long long)Fused.Heap.AllocatedObjects,
-              fmtMeanCv(TF).c_str());
+              fmtSummary(TF).c_str());
   std::printf("  allocated (megaphase): %s  (%llu objects)  transform %s\n",
               fmtMB(B).c_str(),
               (unsigned long long)Unfused.Heap.AllocatedObjects,
-              fmtMeanCv(TU).c_str());
+              fmtSummary(TU).c_str());
   std::printf("  measured delta: %s   (paper: %s)\n",
               fmtPct(double(A) / double(B) - 1.0).c_str(), PaperDelta);
 
@@ -74,20 +73,6 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperDelta,
               fmtPct(double(SlabOn.RealAllocs) / double(SlabOff.RealAllocs) -
                      1.0)
                   .c_str());
-
-  const std::string Tag = "fig5_" + P.Name;
-  jsonMetric(Tag, "fused_alloc_bytes", double(A));
-  jsonMetric(Tag, "unfused_alloc_bytes", double(B));
-  jsonMetric(Tag, "fused_alloc_objects", double(Fused.Heap.AllocatedObjects));
-  jsonMetric(Tag, "unfused_alloc_objects",
-             double(Unfused.Heap.AllocatedObjects));
-  jsonMetric(Tag, "peak_live_bytes", double(SlabOn.Heap.PeakLiveBytes));
-  jsonMetric(Tag, "fused_transform_sec", TF.Mean);
-  jsonMetric(Tag, "fused_transform_cv_pct", TF.CvPct);
-  jsonMetric(Tag, "real_allocs_slab_on", double(SlabOn.RealAllocs));
-  jsonMetric(Tag, "real_allocs_slab_off", double(SlabOff.RealAllocs));
-  jsonMetric(Tag, "slab_pages_mapped", double(SlabOn.PagesMapped));
-  jsonMetric(Tag, "slab_hits", double(SlabOn.SlabHits));
 }
 
 int main() {

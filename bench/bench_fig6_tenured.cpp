@@ -4,9 +4,10 @@
 // one fused traversal die young; under the Megaphase scheme they survive
 // until the next whole-tree pass and get promoted.
 //
-// Measures benchReps() repetitions per configuration and reports
-// mean ±CV (BenchCommon::meanCv). The memsim counters are deterministic,
-// so the CV doubles as a determinism check — any spread is a bug.
+// Measures benchReps() repetitions per configuration and reports the
+// median and range (BenchCommon::summarize). The memsim counters are
+// deterministic, so the range doubles as a determinism check — any
+// spread is a bug.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -28,24 +29,20 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperDelta,
     FusedMB.push_back(double(Fused.Heap.TenuredBytes) / (1 << 20));
     UnfusedMB.push_back(double(Unfused.Heap.TenuredBytes) / (1 << 20));
   }
-  SampleStats FS = meanCv(FusedMB), US = meanCv(UnfusedMB);
+  Summary FS = summarize(FusedMB), US = summarize(UnfusedMB);
 
   std::printf("\n[%s: %llu LOC, young gen 256KB, %llu vs %llu minor GCs]\n",
               P.Name.c_str(), (unsigned long long)Fused.Full.Loc,
               (unsigned long long)Fused.Heap.MinorGCs,
               (unsigned long long)Unfused.Heap.MinorGCs);
-  std::printf("  tenured (miniphase): %.1f MB ±%.1f%%  (%llu objects)\n",
-              FS.Mean, FS.CvPct,
+  std::printf("  tenured (miniphase): %s  (%llu objects)\n",
+              fmtSummary(FS, " MB", 1).c_str(),
               (unsigned long long)Fused.Heap.TenuredObjects);
-  std::printf("  tenured (megaphase): %.1f MB ±%.1f%%  (%llu objects)\n",
-              US.Mean, US.CvPct,
+  std::printf("  tenured (megaphase): %s  (%llu objects)\n",
+              fmtSummary(US, " MB", 1).c_str(),
               (unsigned long long)Unfused.Heap.TenuredObjects);
   std::printf("  measured delta: %s   (paper: %s)\n",
-              fmtPct(FS.Mean / US.Mean - 1.0).c_str(), PaperDelta);
-
-  jsonMetric("fig6_" + P.Name, "fused_tenured_mb", FS.Mean);
-  jsonMetric("fig6_" + P.Name, "unfused_tenured_mb", US.Mean);
-  jsonMetric("fig6_" + P.Name, "tenured_cv_pct", FS.CvPct);
+              fmtPct(FS.Median / US.Median - 1.0).c_str(), PaperDelta);
 }
 
 /// The mechanism behind the figure, isolated: N nodes each rewritten

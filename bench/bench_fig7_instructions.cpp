@@ -3,9 +3,11 @@
 // the transformation pipeline (cache-simulator model standing in for the
 // paper's `perf` hardware counters).
 //
-// Measures benchReps() repetitions per configuration and reports
-// mean ±CV (BenchCommon::meanCv). The simulated counters are
-// deterministic, so the CV doubles as a determinism check.
+// Measures benchReps() repetitions per configuration and reports the
+// median and range (BenchCommon::summarize). The instruction count is
+// deterministic, so its range doubles as a determinism check; the cache
+// model sees real node addresses, so cycle counts vary slightly with
+// heap layout.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -31,16 +33,14 @@ static void runWorkload(const WorkloadProfile &P, unsigned Reps) {
 
   std::printf("\n[%s: %llu LOC, %u reps]\n", P.Name.c_str(),
               (unsigned long long)Fused.Full.Loc, Reps);
-  std::printf("  %-16s %20s %20s %10s\n", "counter", "miniphase",
+  std::printf("  %-16s %32s %32s %10s\n", "counter", "miniphase",
               "megaphase", "delta");
-  auto Row = [&](const char *Name, const std::vector<double> &A,
-                 const std::vector<double> &B) {
-    SampleStats SA = meanCv(A), SB = meanCv(B);
-    std::printf("  %-16s %14.0f ±%.1f%% %14.0f ±%.1f%% %10s\n", Name,
-                SA.Mean, SA.CvPct, SB.Mean, SB.CvPct,
-                fmtPct(SA.Mean / SB.Mean - 1.0).c_str());
-    jsonMetric("fig7_" + P.Name, std::string(Name) + "_fused", SA.Mean);
-    jsonMetric("fig7_" + P.Name, std::string(Name) + "_unfused", SB.Mean);
+  auto Row = [](const char *Name, const std::vector<double> &A,
+                const std::vector<double> &B) {
+    Summary SA = summarize(A), SB = summarize(B);
+    std::printf("  %-16s %32s %32s %10s\n", Name,
+                fmtSummary(SA, "", 0).c_str(), fmtSummary(SB, "", 0).c_str(),
+                fmtPct(SA.Median / SB.Median - 1.0).c_str());
   };
   Row("instructions", FI, UI);
   Row("cycles", FC, UC);

@@ -16,9 +16,10 @@ using namespace mpc;
 using namespace mpc::bench;
 
 static void runWorkload(const WorkloadProfile &P, unsigned Reps) {
-  // The simulated cache counters are deterministic; repetitions exist to
-  // put an uncertainty on the (host) wall time of the simulated pipeline,
-  // reported mean ± CV per the shared protocol.
+  // Repetitions put an uncertainty on the (host) wall time of the
+  // simulated pipeline, reported as median and range per the shared
+  // protocol. The counters printed are the last repetition's; they follow
+  // real node addresses, so they vary slightly between runs.
   std::vector<double> FusedSec, UnfusedSec;
   IsolatedTransforms F, U;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
@@ -27,11 +28,11 @@ static void runWorkload(const WorkloadProfile &P, unsigned Reps) {
     FusedSec.push_back(F.Full.TransformSec);
     UnfusedSec.push_back(U.Full.TransformSec);
   }
-  SampleStats TF = meanCv(FusedSec), TU = meanCv(UnfusedSec);
+  Summary TF = summarize(FusedSec), TU = summarize(UnfusedSec);
 
   std::printf("\n[%s: %llu LOC]  simulated transform walk %s vs %s\n",
               P.Name.c_str(), (unsigned long long)F.Full.Loc,
-              fmtMeanCv(TF).c_str(), fmtMeanCv(TU).c_str());
+              fmtSummary(TF).c_str(), fmtSummary(TU).c_str());
 
   std::printf("  (a) miss rates                 mini      mega     delta   "
               "(paper)\n");
@@ -61,14 +62,6 @@ static void runWorkload(const WorkloadProfile &P, unsigned Reps) {
         U.Cache.MemoryAccesses, "-47% (512M -> 278M)");
   std::printf("  (d) L1-icache misses\n");
   Count("L1i load misses", F.Cache.L1IMisses, U.Cache.L1IMisses, "-24%");
-
-  const std::string Tag = "fig8_" + P.Name;
-  jsonMetric(Tag, "l1d_load_miss_rate_fused", F.Cache.l1dLoadMissRate());
-  jsonMetric(Tag, "l1d_load_miss_rate_unfused", U.Cache.l1dLoadMissRate());
-  jsonMetric(Tag, "memory_accesses_fused", double(F.Cache.MemoryAccesses));
-  jsonMetric(Tag, "memory_accesses_unfused", double(U.Cache.MemoryAccesses));
-  jsonMetric(Tag, "sim_transform_sec_fused", TF.Mean);
-  jsonMetric(Tag, "sim_transform_cv_pct", TF.CvPct);
 }
 
 int main() {

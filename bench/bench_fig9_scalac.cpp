@@ -5,8 +5,8 @@
 // is modeled by a documented constant factor, not measured.
 //
 // Measures benchReps() repetitions per configuration, alternating the
-// configurations per repetition, and reports mean ±CV per stage
-// (BenchCommon::meanCv).
+// configurations per repetition, and reports the median and range per
+// stage (BenchCommon::summarize).
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -43,11 +43,12 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperTrans,
 
   std::printf("\n[%s: %llu LOC, %u reps]\n", P.Name.c_str(),
               (unsigned long long)Loc, Reps);
-  std::printf("  %-22s %16s %16s\n", "stage", "dotty-like", "scalac-like");
+  std::printf("  %-22s %24s %24s\n", "stage", "dotty-like", "scalac-like");
   auto Row = [](const char *Stage, const std::vector<double> &A,
                 const std::vector<double> &B) {
-    std::printf("  %-22s %16s %16s\n", Stage, fmtMeanCv(meanCv(A)).c_str(),
-                fmtMeanCv(meanCv(B)).c_str());
+    std::printf("  %-22s %24s %24s\n", Stage,
+                fmtSummary(summarize(A)).c_str(),
+                fmtSummary(summarize(B)).c_str());
   };
   Row("frontend", Dotty.Frontend, Scalac.Frontend);
   std::printf("  %-22s (scalac frontend uses the x%.1f typer model "
@@ -56,25 +57,20 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperTrans,
   Row("tree transformations", Dotty.Transform, Scalac.Transform);
   Row("backend", Dotty.Backend, Scalac.Backend);
 
-  auto Mean = [](const std::vector<double> &V) { return meanCv(V).Mean; };
-  double TotalD =
-      Mean(Dotty.Frontend) + Mean(Dotty.Transform) + Mean(Dotty.Backend);
-  double TotalS =
-      Mean(Scalac.Frontend) + Mean(Scalac.Transform) + Mean(Scalac.Backend);
+  auto Median = [](const std::vector<double> &V) {
+    return summarize(V).Median;
+  };
+  double TotalD = Median(Dotty.Frontend) + Median(Dotty.Transform) +
+                  Median(Dotty.Backend);
+  double TotalS = Median(Scalac.Frontend) + Median(Scalac.Transform) +
+                  Median(Scalac.Backend);
   std::printf("  transforms: dotty uses %.0f%% of scalac's time (paper: "
               "%s)\n",
-              100.0 * Mean(Dotty.Transform) / Mean(Scalac.Transform),
+              100.0 * Median(Dotty.Transform) / Median(Scalac.Transform),
               PaperTrans);
   std::printf("  total:      dotty uses %.0f%% of scalac's time (paper: "
               "%s)\n",
               100.0 * TotalD / TotalS, PaperTotal);
-
-  jsonMetric("fig9_" + P.Name, "dotty_total_sec", TotalD);
-  jsonMetric("fig9_" + P.Name, "scalac_total_sec", TotalS);
-  jsonMetric("fig9_" + P.Name, "dotty_transform_sec",
-             Mean(Dotty.Transform));
-  jsonMetric("fig9_" + P.Name, "scalac_transform_sec",
-             Mean(Scalac.Transform));
 }
 
 int main() {

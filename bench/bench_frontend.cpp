@@ -5,9 +5,9 @@
 // arenas, the open-addressed NameTable, flat scope lookup, and the
 // open-addressed type interner all land on these paths.
 //
-// Protocol: 5 repetitions (MPC_BENCH_REPS), mean ±CV per stage, plus the
-// frontend.* counters (names interned, syntax-arena bytes, scope-table
-// probes) from the last repetition.
+// Protocol: 5 repetitions (MPC_BENCH_REPS), median and range per stage,
+// plus the frontend.* counters (names interned, syntax-arena bytes,
+// scope-table probes) from the last repetition.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -104,29 +104,17 @@ void runWorkload(const WorkloadProfile &Profile, unsigned Reps,
   std::printf("\n[%s: %llu LOC, %llu syntax nodes]\n", Profile.Name.c_str(),
               (unsigned long long)S.Loc, (unsigned long long)S.SynNodes);
   auto Row = [](const char *Stage, const std::vector<double> &V) {
-    SampleStats St = meanCv(V);
-    std::printf("  %-18s %16s\n", Stage, fmtMeanCv(St).c_str());
-    return St;
+    std::printf("  %-18s %24s\n", Stage, fmtSummary(summarize(V)).c_str());
   };
   Row("lexer", S.Lex);
   Row("parser", S.Parse);
   Row("typer", S.Type);
-  SampleStats Total = Row("frontend total", S.Total);
+  Row("frontend total", S.Total);
   std::printf("  names interned: %llu, syntax-arena bytes: %llu, "
               "scope probes: %llu\n",
               (unsigned long long)S.NamesInterned,
               (unsigned long long)S.ArenaBytes,
               (unsigned long long)S.ScopeProbes);
-
-  std::string B = "frontend_" + Profile.Name;
-  jsonMetric(B, "lex_sec", meanCv(S.Lex).Mean);
-  jsonMetric(B, "parse_sec", meanCv(S.Parse).Mean);
-  jsonMetric(B, "type_sec", meanCv(S.Type).Mean);
-  jsonMetric(B, "total_sec", Total.Mean);
-  jsonMetric(B, "total_cv_pct", Total.CvPct);
-  jsonMetric(B, "names_interned", double(S.NamesInterned));
-  jsonMetric(B, "arena_bytes", double(S.ArenaBytes));
-  jsonMetric(B, "scope_probes", double(S.ScopeProbes));
 }
 
 } // namespace

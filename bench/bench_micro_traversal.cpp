@@ -1,16 +1,25 @@
 //===----------------------------------------------------------------------===//
-// Microbenchmark (google-benchmark): raw per-node cost of fused vs
-// separate traversals as the number of miniphases grows — the mechanism
-// behind Figure 4 in isolation, on identity phases over a synthetic tree.
+// Microbenchmark: raw per-node cost of fused vs separate traversals as the
+// number of miniphases grows — the mechanism behind Figure 4 in isolation,
+// on sparse-rewrite phases over a synthetic tree. Each sample times
+// back-to-back traversals (64 at MPC_BENCH_SCALE=1) and reports ns per
+// (leaf x phase) item; rows give the median and range over benchReps()
+// samples, alternating the two configurations per repetition.
 //===----------------------------------------------------------------------===//
+
+#include "BenchCommon.h"
 
 #include "core/FusedBlock.h"
 #include "core/Phase.h"
 #include "support/Rng.h"
+#include "support/Timer.h"
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <cstdio>
+#include <functional>
 
 using namespace mpc;
+using namespace mpc::bench;
 
 namespace {
 
@@ -58,44 +67,71 @@ TreePtr buildTree(CompilerContext &Comp, unsigned Leaves) {
   return Trees.makeBlock(SourceLoc(), std::move(Stats), std::move(Tail));
 }
 
-void BM_FusedTraversal(benchmark::State &State) {
-  unsigned NumPhases = static_cast<unsigned>(State.range(0));
+constexpr unsigned Leaves = 4096;
+
+/// One configuration under test: its own context, tree and phases.
+struct Setup {
   CompilerContext Comp;
   CompilationUnit Unit;
-  Unit.Root = buildTree(Comp, 4096);
   std::vector<std::unique_ptr<MiniPhase>> Owned;
-  std::vector<MiniPhase *> Phases;
-  for (unsigned I = 0; I < NumPhases; ++I) {
-    Owned.push_back(std::make_unique<TouchLiterals>(I));
-    Phases.push_back(Owned.back().get());
+
+  explicit Setup(unsigned NumPhases) {
+    Unit.Root = buildTree(Comp, Leaves);
+    for (unsigned I = 0; I < NumPhases; ++I)
+      Owned.push_back(std::make_unique<TouchLiterals>(I));
   }
-  FusedBlock Block(Phases);
-  for (auto _ : State) {
-    Block.runOnUnit(Unit, Comp);
-    benchmark::DoNotOptimize(Unit.Root.get());
-  }
-  State.SetItemsProcessed(State.iterations() * 4096 * NumPhases);
+};
+
+/// Runs \p Traverse \p Inner times; returns ns per (leaf x phase) item.
+double nsPerItem(unsigned Inner, unsigned NumPhases,
+                 const std::function<void()> &Traverse) {
+  Timer T;
+  for (unsigned I = 0; I < Inner; ++I)
+    Traverse();
+  return T.elapsedSeconds() * 1e9 / (double(Inner) * Leaves * NumPhases);
 }
 
-void BM_SeparateTraversals(benchmark::State &State) {
-  unsigned NumPhases = static_cast<unsigned>(State.range(0));
-  CompilerContext Comp;
-  CompilationUnit Unit;
-  Unit.Root = buildTree(Comp, 4096);
-  std::vector<std::unique_ptr<MiniPhase>> Owned;
-  for (unsigned I = 0; I < NumPhases; ++I)
-    Owned.push_back(std::make_unique<TouchLiterals>(I));
-  for (auto _ : State) {
-    for (auto &P : Owned)
-      P->runOnUnit(Unit, Comp); // one traversal per phase (Listing 4)
-    benchmark::DoNotOptimize(Unit.Root.get());
+void runPhaseCount(unsigned NumPhases, unsigned Inner, unsigned Reps) {
+  Setup Fused(NumPhases), Separate(NumPhases);
+  std::vector<MiniPhase *> Phases;
+  for (auto &P : Fused.Owned)
+    Phases.push_back(P.get());
+  FusedBlock Block(Phases);
+  auto RunFused = [&] { Block.runOnUnit(Fused.Unit, Fused.Comp); };
+  auto RunSeparate = [&] {
+    // One traversal per phase (Listing 4).
+    for (auto &P : Separate.Owned)
+      P->runOnUnit(Separate.Unit, Separate.Comp);
+  };
+
+  RunFused(); // warm-up
+  RunSeparate();
+  std::vector<double> FusedNs, SeparateNs;
+  for (unsigned Rep = 0; Rep < Reps; ++Rep) {
+    FusedNs.push_back(nsPerItem(Inner, NumPhases, RunFused));
+    SeparateNs.push_back(nsPerItem(Inner, NumPhases, RunSeparate));
   }
-  State.SetItemsProcessed(State.iterations() * 4096 * NumPhases);
+  Summary F = summarize(FusedNs), S = summarize(SeparateNs);
+  std::printf("  %6u %28s %28s %10s\n", NumPhases,
+              fmtSummary(F, "", 2).c_str(), fmtSummary(S, "", 2).c_str(),
+              fmtPct(F.Median / S.Median - 1.0).c_str());
 }
 
 } // namespace
 
-BENCHMARK(BM_FusedTraversal)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Arg(27);
-BENCHMARK(BM_SeparateTraversals)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Arg(27);
-
-BENCHMARK_MAIN();
+int main() {
+  printHeader("Micro — fused vs separate traversal cost per node",
+              "a fused traversal amortizes the walk over its miniphases "
+              "(the mechanism behind Figure 4)");
+  double Scale = benchScale(1.0);
+  unsigned Reps = benchReps();
+  unsigned Inner = std::max(1u, static_cast<unsigned>(64 * Scale));
+  std::printf("%u leaves, %u traversals per sample, repetitions: %u "
+              "(MPC_BENCH_SCALE / MPC_BENCH_REPS to change)\n\n",
+              Leaves, Inner, Reps);
+  std::printf("  %6s %28s %28s %10s\n", "phases", "fused ns/item",
+              "separate ns/item", "delta");
+  for (unsigned NumPhases : {1u, 4u, 8u, 16u, 27u})
+    runPhaseCount(NumPhases, Inner, Reps);
+  return 0;
+}

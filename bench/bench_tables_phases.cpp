@@ -6,9 +6,8 @@
 // unfused pass list.
 //
 // The tables themselves are static; the measured component (plan
-// construction + fusion-block assembly) follows the shared 5-rep meanCv
-// protocol and lands in the JSON metric trail with the phase/group
-// counts, so a regression in pipeline-assembly cost shows up in CI.
+// construction + fusion-block assembly) is reported as the median and
+// range over benchReps() repetitions.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -60,13 +59,7 @@ int main() {
     (void)F;
     (void)L;
   }
-  SampleStats S = meanCv(BuildSec);
   std::printf("\nplan construction (both pipelines): %s over %u reps\n",
-              fmtMeanCv(S).c_str(), Reps);
-  jsonMetric("tables_phases", "plan_build_sec", S.Mean);
-  jsonMetric("tables_phases", "fused_phases", double(Fused.phaseCount()));
-  jsonMetric("tables_phases", "fused_groups",
-             double(Fused.groups().size()));
-  jsonMetric("tables_phases", "legacy_phases", double(Legacy.phaseCount()));
+              fmtSummary(summarize(BuildSec), "s", 6).c_str(), Reps);
   return 0;
 }

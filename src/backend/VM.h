@@ -53,9 +53,8 @@ public:
   /// neither fill nor create) and per (previous, current) opcode pair (a
   /// NumLOps x NumLOps matrix read back with pairCounts()). The program is
   /// re-threaded through a counting stub, so profiled dispatch is slower
-  /// and unprofiled dispatch pays nothing. bench_interp uses it for its
-  /// dispatch breakdown and, with --pairs, to measure which pairs are
-  /// worth fusing into superinstructions.
+  /// and unprofiled dispatch pays nothing. bench_interp uses it, with
+  /// superinstruction fusion off, to measure which pairs are worth fusing.
   void enablePairCounts();
   const std::vector<uint64_t> &pairCounts() const;
 

@@ -11,8 +11,8 @@
 /// A pool of worker connections executes the schedule; each worker is a
 /// CompileClient with the full retry/backoff stack, so the generator
 /// doubles as the end-to-end fault-tolerance driver (NetFaultTest) and
-/// as the latency bench (bench_service_latency sweeps RPS until the p99
-/// knee).
+/// as the latency probe (mpc_load_client: --rps 0 finds the saturation
+/// throughput, then fixed --rps runs sweep toward the p99 knee).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -121,7 +121,7 @@ public:
   ElimIfs() : MiniPhase("ElimIfs", "test: eliminates If nodes") {
     declareTransforms({TreeKind::If});
   }
-  TreePtr transformIf(If *T, PhaseRunContext &Ctx) override {
+  TreePtr transformIf(If *T, PhaseRunContext &) override {
     return TreePtr(T->kid(1)); // keep the then-branch
   }
   bool checkPostCondition(const Tree *T, CompilerContext &) const override {

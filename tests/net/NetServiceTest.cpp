@@ -309,8 +309,14 @@ TEST(NetServiceTest, GracefulDrainAnswersEverythingAdmitted) {
   encodeRequest(Bytes, Slow);
   ASSERT_TRUE(sendAll(S.fd(), Bytes.data(), Bytes.size(), 5000));
 
-  // Give the server time to admit the job, then start the drain.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // Start the drain as soon as the job is admitted, while it still runs.
+  // A drain with nothing in flight says Goodbye at once, and a request
+  // racing that Goodbye is not owed an answer.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (TS.Server.snapshot().RequestsAdmitted == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(TS.Server.snapshot().RequestsAdmitted, 1u);
   TS.Server.requestDrain();
   EXPECT_TRUE(TS.Server.draining());
 

@@ -12,10 +12,16 @@
 // fixed open-loop arrival schedule and reports p50/p95/p99 end-to-end
 // latency plus the server-reported queue-wait split.
 //
+// Every value is checked before anything connects or any thread starts:
+// a malformed, non-finite or out-of-range value ends the run with status 2.
+//
 //===----------------------------------------------------------------------===//
 
 #include "net/LoadGen.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,12 +31,58 @@ using namespace mpc::net;
 
 namespace {
 
-double argNum(int Argc, char **Argv, int &I, const char *Flag) {
+/// One worker thread runs per connection.
+constexpr unsigned MaxConnections = 256;
+/// One latency is stored per request. With a whole --rps (so >= 1 when
+/// open-loop) the last scheduled arrival, NumRequests / Rps seconds in,
+/// stays far inside the clock's range.
+constexpr uint64_t MaxRequests = 10'000'000;
+constexpr uint64_t MaxRps = 1'000'000;
+/// Every variant is generated up front, at up to MaxScale times the base
+/// workload.
+constexpr double MaxScale = 10;
+constexpr uint64_t MaxVariants = 1024;
+
+const char *argValue(int Argc, char **Argv, int &I, const char *Flag) {
   if (I + 1 >= Argc) {
     std::fprintf(stderr, "mpc_load_client: %s needs a value\n", Flag);
     std::exit(2);
   }
-  return std::strtod(Argv[++I], nullptr);
+  return Argv[++I];
+}
+
+/// The decimal integer after \p Flag, which must lie in [Lo, Hi].
+uint64_t argInt(int Argc, char **Argv, int &I, const char *Flag,
+                uint64_t Lo, uint64_t Hi) {
+  const char *S = argValue(Argc, Argv, I, Flag);
+  char *End = nullptr;
+  errno = 0;
+  // strtoull would accept a sign or leading space; demand a digit first.
+  unsigned long long V = 0;
+  if (std::isdigit(static_cast<unsigned char>(S[0])))
+    V = std::strtoull(S, &End, 10);
+  if (!End || *End != '\0' || errno == ERANGE || V < Lo || V > Hi) {
+    std::fprintf(stderr,
+                 "mpc_load_client: %s '%s' is not an integer in [%llu, %llu]\n",
+                 Flag, S, (unsigned long long)Lo, (unsigned long long)Hi);
+    std::exit(2);
+  }
+  return V;
+}
+
+/// The finite number after \p Flag, which must lie in [0, Hi].
+double argNum(int Argc, char **Argv, int &I, const char *Flag, double Hi) {
+  const char *S = argValue(Argc, Argv, I, Flag);
+  char *End = nullptr;
+  double V = std::strtod(S, &End);
+  if (End == S || *End != '\0' || !std::isfinite(V) || V < 0 || V > Hi) {
+    std::fprintf(stderr,
+                 "mpc_load_client: %s '%s' is not a finite number in "
+                 "[0, %g]\n",
+                 Flag, S, Hi);
+    std::exit(2);
+  }
+  return V;
 }
 
 } // namespace
@@ -40,25 +92,25 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     if (A == "--port")
-      Cfg.Port = static_cast<uint16_t>(argNum(Argc, Argv, I, "--port"));
+      Cfg.Port =
+          static_cast<uint16_t>(argInt(Argc, Argv, I, "--port", 1, 65535));
     else if (A == "--rps")
-      Cfg.Rps = argNum(Argc, Argv, I, "--rps");
+      Cfg.Rps = double(argInt(Argc, Argv, I, "--rps", 0, MaxRps));
     else if (A == "--requests")
-      Cfg.NumRequests =
-          static_cast<uint64_t>(argNum(Argc, Argv, I, "--requests"));
+      Cfg.NumRequests = argInt(Argc, Argv, I, "--requests", 1, MaxRequests);
     else if (A == "--connections")
-      Cfg.Connections =
-          static_cast<unsigned>(argNum(Argc, Argv, I, "--connections"));
+      Cfg.Connections = static_cast<unsigned>(
+          argInt(Argc, Argv, I, "--connections", 1, MaxConnections));
     else if (A == "--seed")
-      Cfg.Seed = static_cast<uint64_t>(argNum(Argc, Argv, I, "--seed"));
+      Cfg.Seed = argInt(Argc, Argv, I, "--seed", 0, UINT64_MAX);
     else if (A == "--scale")
-      Cfg.SourceScale = argNum(Argc, Argv, I, "--scale");
+      Cfg.SourceScale = argNum(Argc, Argv, I, "--scale", MaxScale);
     else if (A == "--variants")
-      Cfg.Variants =
-          static_cast<unsigned>(argNum(Argc, Argv, I, "--variants"));
+      Cfg.Variants = static_cast<unsigned>(
+          argInt(Argc, Argv, I, "--variants", 1, MaxVariants));
     else if (A == "--deadline-ms")
       Cfg.DeadlineMillis =
-          static_cast<uint64_t>(argNum(Argc, Argv, I, "--deadline-ms"));
+          argInt(Argc, Argv, I, "--deadline-ms", 0, UINT64_MAX);
     else {
       std::fprintf(stderr, "mpc_load_client: unknown flag '%s'\n",
                    A.c_str());

@@ -2,6 +2,8 @@
 
 #include "support/Timer.h"
 
+#include <utility>
+
 using namespace mpc;
 
 CompileService::CompileService(ServiceConfig Config)
@@ -38,63 +40,62 @@ void CompileService::stop() {
   for (std::thread &W : Workers)
     if (W.joinable())
       W.join();
+  // Refused and shed jobs complete on their admitting threads, which may
+  // still be running those handlers.
+  std::unique_lock<std::mutex> Lock(M);
+  DoneCv.wait(Lock, [this] { return CompletedJobs == NextJobId; });
 }
 
-void CompileService::completeRejectedLocked(
-    uint64_t Id, double QueueWaitSec, const char *Why,
-    std::vector<PendingReject> &Deferred) {
+void CompileService::markCompleted(uint64_t N) {
+  std::lock_guard<std::mutex> Lock(M);
+  CompletedJobs += N;
+  // Notify under the lock: once stop() sees the last completion the
+  // service may be destroyed.
+  DoneCv.notify_all();
+}
+
+namespace {
+
+/// The result a job gets when it never reaches a worker.
+BatchResult refusal(double QueueWaitSec, const char *Why) {
   BatchResult R;
   R.Status = JobStatus::Rejected;
   R.HadErrors = true;
   R.DiagText = std::string("error: ") + Why + "\n";
   R.Out.Timings.QueueWaitSec = QueueWaitSec;
-  if (Cfg.OnResult) {
-    // Streaming mode: no drain-window slot exists; the caller fires the
-    // callback once M is released (user code never runs under the lock).
-    Deferred.push_back(PendingReject{Id, std::move(R)});
-  } else {
-    Done[Id - DrainedUpTo] = std::make_unique<BatchResult>(std::move(R));
-  }
-  ++CompletedJobs;
+  return R;
 }
 
-AdmitResult CompileService::tryEnqueue(BatchJob Job) {
+} // namespace
+
+AdmitResult CompileService::tryEnqueue(BatchJob Job,
+                                       CompletionHandler OnDone) {
   AdmitResult A;
-  bool NotifyDone = false;
-  bool Refused = false;
-  std::vector<PendingReject> Deferred;
+  // Jobs this call completes without a worker: the arrival itself when
+  // refused, or the victims it sheds. Their handlers run once M is
+  // released.
+  std::vector<std::pair<CompletionHandler, BatchResult>> Refused;
   {
     std::unique_lock<std::mutex> Lock(M);
-    if (Stopping)
-      return A; // refused: no id, no slot, no result owed
-    if (Cfg.MaxQueueDepth != 0 && queueDepthLocked() >= Cfg.MaxQueueDepth) {
+    if (Cfg.MaxQueueDepth != 0 && !Stopping &&
+        queueDepthLocked() >= Cfg.MaxQueueDepth) {
       switch (Cfg.Policy) {
       case QueuePolicy::Block:
         SpaceCv.wait(Lock, [this] {
           return Stopping || queueDepthLocked() < Cfg.MaxQueueDepth;
         });
-        if (Stopping)
-          return A;
         break;
-      case QueuePolicy::RejectNewest: {
-        // The arrival is refused but still owns a slot: its Rejected
-        // result completes immediately, keeping drain() in-order with no
-        // gaps in the id sequence.
+      case QueuePolicy::RejectNewest:
+        // The arrival is refused but still gets an id, so ids stay
+        // gapless in admission order.
         ++JobsRejected;
         A.Id = NextJobId++;
-        if (!Cfg.OnResult)
-          Done.emplace_back();
-        completeRejectedLocked(A.Id, 0, "compile job rejected: queue full",
-                               Deferred);
-        NotifyDone = true;
-        Refused = true;
+        Refused.emplace_back(std::move(OnDone),
+                             refusal(0, "compile job rejected: queue full"));
         break;
-      }
       case QueuePolicy::ShedOldest: {
         // Make room by completing the oldest queued job as Rejected —
         // batch lane first, so interactive work is the last to be shed.
-        // The shed victim's slot was reserved at its own admission;
-        // filling it preserves in-order delivery.
         auto Now = std::chrono::steady_clock::now();
         while (queueDepthLocked() >= Cfg.MaxQueueDepth) {
           std::deque<QueuedJob> &Lane =
@@ -103,51 +104,49 @@ AdmitResult CompileService::tryEnqueue(BatchJob Job) {
           Lane.pop_front();
           ++JobsShed;
           ++A.JobsShed;
-          completeRejectedLocked(
-              Victim.Id,
-              std::chrono::duration<double>(Now - Victim.EnqueuedAt).count(),
-              "compile job shed: queue full, displaced by a newer job",
-              Deferred);
+          Refused.emplace_back(
+              std::move(Victim.OnDone),
+              refusal(std::chrono::duration<double>(Now - Victim.EnqueuedAt)
+                          .count(),
+                      "compile job shed: queue full, displaced by a newer "
+                      "job"));
         }
-        NotifyDone = true;
         break;
       }
       }
     }
-    if (!Refused) {
+    if (Stopping) {
+      // No id: the job was never admitted, so nothing waits for it.
+      Lock.unlock();
+      OnDone(refusal(0, "compile service stopped"));
+      return A;
+    }
+    if (A.Id == InvalidJobId) { // not refused above: admit it
       A.Id = NextJobId++;
       A.Accepted = true;
-      if (!Cfg.OnResult)
-        Done.emplace_back(); // result slot; filled by whichever worker runs it
       std::deque<QueuedJob> &Lane =
           Job.Priority == JobPriority::Interactive ? InteractiveLane
                                                    : BatchLane;
-      Lane.push_back(
-          QueuedJob{A.Id, std::move(Job), std::chrono::steady_clock::now()});
+      Lane.push_back(QueuedJob{std::move(Job), std::move(OnDone),
+                               std::chrono::steady_clock::now()});
       if (queueDepthLocked() > QueueDepthPeak)
         QueueDepthPeak = queueDepthLocked();
     }
   }
-  // Streaming mode: deliver refusals now that M is released.
-  for (PendingReject &P : Deferred)
-    Cfg.OnResult(P.Id, std::move(P.R));
   if (A.Accepted)
     QueueCv.notify_one();
-  if (NotifyDone)
-    DoneCv.notify_all();
+  for (auto &[Handler, R] : Refused)
+    Handler(std::move(R));
+  if (!Refused.empty())
+    markCompleted(Refused.size());
   return A;
-}
-
-uint64_t CompileService::enqueue(BatchJob Job) {
-  return tryEnqueue(std::move(Job)).Id;
 }
 
 void CompileService::workerMain() {
   while (true) {
-    uint64_t Id;
     uint64_t Seq;
     double QueueWait;
-    BatchJob Job;
+    QueuedJob QJ;
     {
       std::unique_lock<std::mutex> Lock(M);
       QueueCv.wait(Lock, [this] {
@@ -168,10 +167,8 @@ void CompileService::workerMain() {
         SinceBatch = 0;
       else
         ++SinceBatch;
-      QueuedJob QJ = std::move(Lane.front());
+      QJ = std::move(Lane.front());
       Lane.pop_front();
-      Id = QJ.Id;
-      Job = std::move(QJ.Job);
       Seq = DequeueCounter++;
       QueueWait = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - QJ.EnqueuedAt)
@@ -180,26 +177,25 @@ void CompileService::workerMain() {
     // A slot opened up for a Block-policy producer.
     SpaceCv.notify_one();
 
-    std::unique_ptr<BatchResult> Result;
+    BatchResult Result;
     StatsRegistry JobStats;
-    double Deadline = Job.DeadlineSec;
+    double Deadline = QJ.Job.DeadlineSec;
     if (Deadline > 0 && QueueWait >= Deadline) {
-      // The deadline (measured from enqueue) expired while the job sat in
-      // the queue: complete it without compiling — and without consulting
-      // the cache, so an expired job's status never depends on what
-      // happens to be cached.
-      Result = std::make_unique<BatchResult>();
-      Result->Status = JobStatus::DeadlineExceeded;
-      Result->HadErrors = true;
-      Result->DiagText = "error: job deadline exceeded while queued\n";
+      // The deadline (measured from admission) expired while the job sat
+      // in the queue: complete it without compiling — and without
+      // consulting the cache, so an expired job's status never depends
+      // on what happens to be cached.
+      Result.Status = JobStatus::DeadlineExceeded;
+      Result.HadErrors = true;
+      Result.DiagText = "error: job deadline exceeded while queued\n";
       JobStats.add("service.jobsCompleted", 1);
       JobStats.add("service.jobsDeadlineExceeded", 1);
     } else {
       // The remaining budget is what runBatchJob arms as the in-compile
       // deadline: queue wait counts against the job's total allowance.
       if (Deadline > 0)
-        Job.DeadlineSec = Deadline - QueueWait;
-      Result = std::make_unique<BatchResult>(runJob(std::move(Job), JobStats));
+        QJ.Job.DeadlineSec = Deadline - QueueWait;
+      Result = runJob(std::move(QJ.Job), JobStats);
     }
     // Fold the job's counters in before it counts as complete, so a
     // drain that has waited for this job also sees them.
@@ -207,27 +203,17 @@ void CompileService::workerMain() {
       std::lock_guard<std::mutex> Lock(PendingM);
       PendingStats.merge(JobStats);
     }
-    Result->DequeueSeq = Seq;
+    Result.DequeueSeq = Seq;
     // Per-request, even on a cache replay (the compile-stage timings are
     // the cached copy; the wait is this request's own).
-    Result->Out.Timings.QueueWaitSec = QueueWait;
-    if (Cfg.OnResult) {
-      // Streaming mode: hand the result over right now, on this worker
-      // thread, before counting it complete — so quiescence (drain(),
-      // stop()) implies the callback has run for every admitted job.
-      Cfg.OnResult(Id, std::move(*Result));
-      std::lock_guard<std::mutex> Lock(M);
-      ++CompletedJobs;
-    } else {
-      std::lock_guard<std::mutex> Lock(M);
-      // A job can only be drained after completing, so its slot is still
-      // inside the window even if other drains happened meanwhile. The
-      // slot was reserved at enqueue time — completion fills it in place
-      // and never grows the window under the lock.
-      Done[Id - DrainedUpTo] = std::move(Result);
-      ++CompletedJobs;
-    }
-    DoneCv.notify_all();
+    Result.Out.Timings.QueueWaitSec = QueueWait;
+    // The handler runs before the job counts as complete, so quiescence
+    // (drain(), stop()) implies it has run.
+    QJ.OnDone(std::move(Result));
+    // Drop what the handler captured (a connection and its socket, say)
+    // now rather than when this worker takes its next job.
+    QJ.OnDone = nullptr;
+    markCompleted(1);
   }
 }
 
@@ -319,46 +305,17 @@ BatchResult CompileService::runJob(BatchJob Job, StatsRegistry &JobStats) {
   return R;
 }
 
-size_t CompileService::pendingJobs() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return static_cast<size_t>(NextJobId - CompletedJobs);
-}
-
 size_t CompileService::queuedJobs() const {
   std::lock_guard<std::mutex> Lock(M);
   return queueDepthLocked();
 }
 
-std::vector<BatchResult> CompileService::drain() {
-  std::vector<BatchResult> Results;
-  uint64_t Target;
+void CompileService::drain() {
   uint64_t Rejected, Shed, DepthPeak;
   {
     std::unique_lock<std::mutex> Lock(M);
-    Target = NextJobId;
-    if (Cfg.OnResult) {
-      // Streaming mode: results were handed to the callback as they
-      // completed; drain() degenerates to a quiescence barrier plus the
-      // stats merge below.
-      DoneCv.wait(Lock, [&] { return CompletedJobs >= Target; });
-      DrainedUpTo = Target;
-    } else {
-      // Completed slots never empty again, so a monotonic cursor checks
-      // each slot once across all wakeups — O(window) for the whole wait,
-      // not per notification.
-      uint64_t Scanned = DrainedUpTo;
-      DoneCv.wait(Lock, [&] {
-        while (Scanned < Target && Done[Scanned - DrainedUpTo])
-          ++Scanned;
-        return Scanned >= Target;
-      });
-      Results.reserve(Target - DrainedUpTo);
-      while (DrainedUpTo < Target) {
-        Results.push_back(std::move(*Done.front()));
-        Done.pop_front();
-        ++DrainedUpTo;
-      }
-    }
+    uint64_t Target = NextJobId;
+    DoneCv.wait(Lock, [&] { return CompletedJobs >= Target; });
     Rejected = JobsRejected;
     Shed = JobsShed;
     DepthPeak = QueueDepthPeak;
@@ -392,5 +349,4 @@ std::vector<BatchResult> CompileService::drain() {
     Stats.counter("service.cacheIntegrityRejects") = CS.IntegrityRejects;
   }
   Stats.counter("heap.pagesTrimmed") = Pages.stats().PagesTrimmed;
-  return Results;
 }

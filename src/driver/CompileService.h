@@ -6,20 +6,21 @@
 ///
 /// Ideas on top of the old batch driver:
 ///
-///   1. Work queue with admission control. Jobs are enqueued (including
+///   1. Work queue with admission control. Jobs are admitted (including
 ///      while the service is running) onto a mutex+condvar queue split
 ///      into two priority lanes (Interactive ahead of Batch, with an
 ///      anti-starvation burst cap); each worker dequeues ONE job at a
-///      time, so scheduling is load-balanced rather than sliced, and
-///      results are delivered in enqueue order at drain(). The queue is
+///      time, so scheduling is load-balanced rather than sliced. Every
+///      job carries the completion handler it was admitted with, and
+///      that handler receives the job's result exactly once. The queue is
 ///      optionally bounded (ServiceConfig::MaxQueueDepth): arrivals at a
 ///      full queue block, are rejected, or shed the oldest queued job
-///      (QueuePolicy), with refused jobs completing in the drain window
-///      as JobStatus::Rejected — overload degrades answers, never the
-///      in-order delivery contract.
+///      (QueuePolicy); a refused or shed job's handler receives a
+///      JobStatus::Rejected result at once — overload degrades answers,
+///      never drops one.
 ///
 ///   1b. Deadlines and fault containment. A job's soft deadline
-///      (BatchJob::DeadlineSec, measured from enqueue) is enforced by
+///      (BatchJob::DeadlineSec, measured from admission) is enforced by
 ///      cooperative checkpoints at phase boundaries; an expired job
 ///      unwinds cleanly to JobStatus::DeadlineExceeded. Any other
 ///      exception is caught by the worker firewall in runBatchJob: the
@@ -37,17 +38,17 @@
 ///      completed, pages obtained from the shared pool, busy time, the
 ///      context's pipeline counters) in a StatsRegistry of its own and
 ///      folds it once, when the job completes, into one lock-guarded
-///      pending registry; drain() merges that registry into stats() and
-///      derives service.workerUtilization, so stats() only moves at a
-///      drain.
+///      pending registry; drain() waits until every admitted job is
+///      complete, merges that registry into stats() and derives
+///      service.workerUtilization, so stats() only moves at a drain.
 ///
 ///   4. Content-addressed artifact cache. Each dequeued job derives its
 ///      JobKey (hash of sources + cache-relevant options + pipeline
 ///      kind, see driver/Batch.h) and consults the ArtifactCache first:
-///      a hit replays the stored result into the drain window without
-///      touching a context at all; a miss compiles and installs the
-///      replayable payload. Replay is byte-identical to a cache-disabled
-///      run (pinned by CompileServiceTest), counters surface as
+///      a hit replays the stored result without touching a context at
+///      all; a miss compiles and installs the replayable payload. Replay
+///      is byte-identical to a cache-disabled run (pinned by
+///      CompileServiceTest), counters surface as
 ///      service.cacheHits/cacheMisses/cacheBytes/cacheEvictions, and
 ///      capacity is LRU-bounded by CacheConfig::MaxBytes.
 ///
@@ -84,13 +85,13 @@ enum class QueuePolicy : uint8_t {
   /// tryEnqueue() blocks until a worker frees a slot (or the service
   /// stops). The closed-loop default: producers self-throttle.
   Block,
-  /// The arriving job is refused: it still gets an id and completes
-  /// immediately in the drain window with JobStatus::Rejected.
+  /// The arriving job is refused: it still gets an id, and its handler
+  /// receives a JobStatus::Rejected result before tryEnqueue() returns.
   RejectNewest,
   /// The arriving job is admitted and the oldest *queued* job is shed in
   /// its place (Batch lane first — interactive work is the last to go).
-  /// Shed jobs complete with JobStatus::Rejected in the drain window, so
-  /// in-order delivery is preserved under overload.
+  /// The shed job's handler receives a JobStatus::Rejected result before
+  /// the admitting tryEnqueue() returns.
   ShedOldest,
 };
 
@@ -99,16 +100,21 @@ enum class QueuePolicy : uint8_t {
 /// dequeue takes from the batch lane regardless.
 inline constexpr unsigned InteractiveRunCap = 3;
 
-/// Sentinel id returned by enqueue()/tryEnqueue() after stop(): the job
-/// was not admitted and owns no slot in the drain window.
+/// Sentinel id returned by tryEnqueue() after stop(): the job was not
+/// admitted (its handler still receives a Rejected result).
 inline constexpr uint64_t InvalidJobId = ~uint64_t(0);
+
+/// Receives one job's result. Runs exactly once per tryEnqueue() call:
+/// on the worker that ran the job, or on the admitting thread for a
+/// refusal, never under the service lock. It must be thread-safe, must
+/// not throw, and must not call drain() or stop().
+using CompletionHandler = std::function<void(BatchResult)>;
 
 /// What admission control decided about one tryEnqueue() call.
 struct AdmitResult {
   uint64_t Id = InvalidJobId;
   /// False: the job was refused (queue full under RejectNewest, or the
-  /// service is stopped). When Id != InvalidJobId the refusal still
-  /// delivers a Rejected result in the drain window.
+  /// service is stopped); its handler has already run.
   bool Accepted = false;
   /// Queued jobs this admission displaced (ShedOldest only).
   uint64_t JobsShed = 0;
@@ -126,17 +132,6 @@ struct ServiceConfig {
   /// Artifact-cache policy: consult-before-compile with LRU-bounded
   /// storage.
   CacheConfig Cache;
-  /// Streaming delivery (the network server's mode): when set, every
-  /// completed job — including rejected/shed ones — is handed to this
-  /// callback the moment it finishes, in *completion* order, instead of
-  /// being parked in the drain window. The callback runs on the
-  /// completing worker's thread (or the admitting thread for refusals),
-  /// never under the service lock, and must be thread-safe; it must not
-  /// call back into drain(). stop() returns only after the callback has
-  /// fired for every admitted job — the graceful-drain contract a server
-  /// builds on. drain() still merges stats (and waits for quiescence)
-  /// but returns no results in this mode.
-  std::function<void(uint64_t Id, BatchResult Result)> OnResult;
 };
 
 /// The persistent compile service.
@@ -149,37 +144,26 @@ public:
   ~CompileService();
 
   /// Admission-controlled enqueue; legal at any time, from any thread.
-  /// Applies MaxQueueDepth/Policy at a full queue and reports what
-  /// happened. After stop() the job is refused with Id == InvalidJobId.
-  AdmitResult tryEnqueue(BatchJob Job);
-
-  /// Queues a job; legal at any time, including while workers are busy
-  /// and from multiple threads. Returns the job's id (== its position in
-  /// the overall enqueue order). Convenience over tryEnqueue(): a job
-  /// refused by admission control still returns its id (its Rejected
-  /// result arrives at drain); only after stop() does it return
-  /// InvalidJobId, with no result owed.
-  uint64_t enqueue(BatchJob Job);
+  /// Ids follow admission order. Applies MaxQueueDepth/Policy at a full
+  /// queue and reports what happened. \p OnDone receives the job's
+  /// result exactly once; for a refusal (and for any job this admission
+  /// sheds) it runs on this thread before tryEnqueue() returns. After
+  /// stop() the job is refused with Id == InvalidJobId.
+  AdmitResult tryEnqueue(BatchJob Job, CompletionHandler OnDone);
 
   /// Stops the service: no further admissions, already-admitted queued
-  /// jobs still run, then workers exit and are joined. Idempotent and
-  /// safe to race with enqueue()/tryEnqueue() from other threads (they
-  /// fail cleanly). The destructor calls this.
+  /// jobs still run, then workers exit and are joined. Returns only after
+  /// the handler of every admitted job has run — the contract a graceful
+  /// server drain builds on. Idempotent and safe to race with
+  /// tryEnqueue() from other threads (late arrivals are refused). The
+  /// destructor calls this.
   void stop();
 
-  /// Blocks until every job enqueued so far is complete and returns
-  /// their results in enqueue order (starting after the previous drain's
-  /// last job). Also merges the counters of the jobs completed since the
+  /// Blocks until every job admitted so far is complete (its handler has
+  /// run), then merges the counters of the jobs completed since the
   /// previous drain into stats() and refreshes service.workerUtilization.
-  /// Single consumer: call from one thread at a time (enqueue() may race
-  /// it freely).
-  std::vector<BatchResult> drain();
-
-  /// Jobs enqueued but not yet completed by a worker (queued + running).
-  /// Monotone within a burst, 0 after a drain completes with no new
-  /// enqueues — the backlog signal an open-loop load generator throttles
-  /// on. Thread-safe.
-  size_t pendingJobs() const;
+  /// Single caller at a time; tryEnqueue() may race it freely.
+  void drain();
 
   /// Jobs currently sitting in the admission queue (both lanes, not yet
   /// taken by a worker). Thread-safe.
@@ -208,8 +192,8 @@ private:
   /// One admitted-but-not-yet-running job. EnqueuedAt feeds the queue
   /// wait (reported per result and counted against the soft deadline).
   struct QueuedJob {
-    uint64_t Id;
     BatchJob Job;
+    CompletionHandler OnDone;
     std::chrono::steady_clock::time_point EnqueuedAt;
   };
 
@@ -220,19 +204,9 @@ private:
   size_t queueDepthLocked() const {
     return InteractiveLane.size() + BatchLane.size();
   }
-  /// A refusal result pending callback delivery (OnResult mode): built
-  /// under M, fired after M is released.
-  struct PendingReject {
-    uint64_t Id;
-    BatchResult R;
-  };
-  /// Completes \p Id with a Rejected result without it ever reaching a
-  /// worker: into the drain window, or (OnResult mode) onto \p Deferred
-  /// for the caller to deliver outside the lock. Caller holds M; caller
-  /// notifies DoneCv.
-  void completeRejectedLocked(uint64_t Id, double QueueWaitSec,
-                              const char *Why,
-                              std::vector<PendingReject> &Deferred);
+  /// Counts \p N jobs complete (their handlers have run) and wakes
+  /// drain()/stop().
+  void markCompleted(uint64_t N);
 
   ServiceConfig Cfg;
   // Declared before Workers, so it outlives every context they create.
@@ -241,7 +215,7 @@ private:
 
   mutable std::mutex M;
   std::condition_variable QueueCv; // workers: queue non-empty or stopping
-  std::condition_variable DoneCv;  // drain(): a job finished
+  std::condition_variable DoneCv;  // drain()/stop(): a job completed
   std::condition_variable SpaceCv; // Block-policy producers: a slot freed
   /// The admission queue, split by JobPriority. Workers prefer the
   /// interactive lane; SinceBatch enforces the InteractiveRunCap so
@@ -250,15 +224,9 @@ private:
   std::deque<QueuedJob> BatchLane;
   unsigned SinceBatch = 0;     // interactive takes since the last batch take
   uint64_t DequeueCounter = 0; // BatchResult::DequeueSeq source
-  /// Result slots for the undrained id window [DrainedUpTo, NextJobId):
-  /// the slot is reserved by enqueue() (the window only ever grows
-  /// there), a completing worker fills Done[Id - DrainedUpTo] in place,
-  /// and drain() hands the completed prefix out and slides the window —
-  /// so the deque stays bounded by the in-flight job count on a
-  /// long-lived service and completion never grows it under the lock.
-  std::deque<std::unique_ptr<BatchResult>> Done;
+  /// Jobs admitted with an id (refusals at a full queue included), and
+  /// how many of them are complete: their handler has run.
   uint64_t NextJobId = 0;
-  uint64_t DrainedUpTo = 0;
   uint64_t CompletedJobs = 0;
   bool Stopping = false;
   // Admission counters (under M); published as gauges at drain().

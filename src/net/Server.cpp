@@ -2,6 +2,7 @@
 
 #include "support/FaultInjector.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -11,13 +12,16 @@
 using namespace mpc;
 using namespace mpc::net;
 
-CompileServer::CompileServer(ServerConfig Config) : Cfg(std::move(Config)) {
-  // The server owns result delivery; the service must stream, not park.
-  Cfg.Service.OnResult = [this](uint64_t Id, BatchResult R) {
-    deliverResult(Id, std::move(R));
-  };
-  Service = std::make_unique<CompileService>(Cfg.Service);
-}
+namespace {
+
+/// Delay hint carried in RetryAfter responses.
+constexpr uint32_t RetryAfterHintMillis = 50;
+
+} // namespace
+
+CompileServer::CompileServer(ServerConfig Config)
+    : Cfg(std::move(Config)),
+      Service(std::make_unique<CompileService>(Cfg.Service)) {}
 
 CompileServer::~CompileServer() {
   requestDrain();
@@ -96,14 +100,18 @@ void CompileServer::readerExit() {
 }
 
 void CompileServer::connectionLoop(std::shared_ptr<Connection> Conn) {
-  FrameReader Reader(Cfg.Lim);
+  FrameReader Reader;
   uint8_t Buf[64 * 1024];
   auto LastActivity = std::chrono::steady_clock::now();
+  // Idle reaping is checked once per read timeout, so the timeout
+  // follows IdleTimeoutMs; socket shutdown wakes the reader for drain.
+  const int PollMs =
+      Cfg.IdleTimeoutMs > 0 ? std::clamp(Cfg.IdleTimeoutMs / 4, 1, 50) : 50;
 
   while (!Conn->Dead.load(std::memory_order_acquire)) {
     size_t Got = 0;
     RecvStatus RS =
-        recvSome(Conn->Sock.fd(), Buf, sizeof(Buf), Got, Cfg.PollMs);
+        recvSome(Conn->Sock.fd(), Buf, sizeof(Buf), Got, PollMs);
     if (RS == RecvStatus::Closed || RS == RecvStatus::Error)
       break;
     if (RS == RecvStatus::Timeout) {
@@ -196,7 +204,7 @@ bool CompileServer::handleFrame(const std::shared_ptr<Connection> &Conn,
   case MsgType::CompileRequest: {
     WireRequest Req;
     std::string Err;
-    if (!decodeRequest(F.Payload, F.PayloadLen, Cfg.Lim, Req, Err)) {
+    if (!decodeRequest(F.Payload, F.PayloadLen, Limits(), Req, Err)) {
       sendProtocolError(Conn, ProtoErrCode::MalformedPayload, Err);
       return false;
     }
@@ -248,55 +256,16 @@ void CompileServer::handleRequest(const std::shared_ptr<Connection> &Conn,
       Req.Interactive ? JobPriority::Interactive : JobPriority::Batch;
   Job.DeadlineSec = static_cast<double>(Req.DeadlineMillis) / 1000.0;
 
-  // Count the job in flight *before* enqueueing: the completion callback
-  // (which decrements) can fire before tryEnqueue returns.
+  // Count the job in flight *before* enqueueing: the handler (which
+  // decrements) can run before tryEnqueue returns.
   Conn->InFlight.fetch_add(1, std::memory_order_acq_rel);
-  AdmitResult AR = Service->tryEnqueue(std::move(Job));
-  if (AR.Id == InvalidJobId) {
-    // Stopped service: no slot, no callback owed.
-    Conn->InFlight.fetch_sub(1, std::memory_order_acq_rel);
-    sendRetryAfter(Conn, Req.ReqId, "service stopped");
-    return;
-  }
+  AdmitResult AR = Service->tryEnqueue(
+      std::move(Job), [this, Conn, ReqId = Req.ReqId](BatchResult R) {
+        respond(Conn, ReqId, R);
+        Conn->InFlight.fetch_sub(1, std::memory_order_acq_rel);
+      });
   if (AR.Accepted)
     S.RequestsAdmitted.fetch_add(1, std::memory_order_relaxed);
-
-  // Claim the id. The callback may already have fired (stashing the
-  // result under Unclaimed) — deliver inline in that case.
-  std::unique_ptr<BatchResult> Early;
-  {
-    std::lock_guard<std::mutex> Lock(PendingM);
-    auto It = Unclaimed.find(AR.Id);
-    if (It != Unclaimed.end()) {
-      Early = std::move(It->second);
-      Unclaimed.erase(It);
-    } else {
-      Pending.emplace(AR.Id, PendingJob{Conn, Req.ReqId});
-    }
-  }
-  if (Early) {
-    respond(Conn, Req.ReqId, *Early);
-    Conn->InFlight.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
-void CompileServer::deliverResult(uint64_t JobId, BatchResult R) {
-  PendingJob PJ;
-  {
-    std::lock_guard<std::mutex> Lock(PendingM);
-    auto It = Pending.find(JobId);
-    if (It == Pending.end()) {
-      // The admitting thread has not registered this id yet — it is
-      // still inside tryEnqueue. Stash; it claims after returning.
-      Unclaimed.emplace(JobId,
-                        std::make_unique<BatchResult>(std::move(R)));
-      return;
-    }
-    PJ = std::move(It->second);
-    Pending.erase(It);
-  }
-  respond(PJ.Conn, PJ.ReqId, R);
-  PJ.Conn->InFlight.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void CompileServer::respond(const std::shared_ptr<Connection> &Conn,
@@ -370,7 +339,7 @@ void CompileServer::sendRetryAfter(const std::shared_ptr<Connection> &Conn,
                                    uint64_t ReqId, const char *Reason) {
   WireRetryAfter M;
   M.ReqId = ReqId;
-  M.RetryAfterMillis = Cfg.RetryAfterMillis;
+  M.RetryAfterMillis = RetryAfterHintMillis;
   M.Reason = Reason;
   std::vector<uint8_t> Out;
   encodeRetryAfter(Out, M);
@@ -422,7 +391,7 @@ void CompileServer::drainMain() {
   Listener.close();
 
   // 2. Answer everything admitted. stop() returns only after the
-  //    OnResult callback has fired for every admitted job, i.e. after
+  //    completion handler of every admitted job has run, i.e. after
   //    every owed CompileResponse/RetryAfter has been written (or
   //    counted as an orphan). Readers keep running meanwhile, answering
   //    late arrivals with RetryAfter("server is draining").

@@ -9,8 +9,9 @@
 ///
 ///   accept thread ──► per-connection reader threads ──► tryEnqueue()
 ///                                                           │
-///   OnResult callback (worker threads) ◄────────────────────┘
-///        │ looks up (jobId → connection, reqId)
+///   per-request completion handler ◄────────────────────────┘
+///        │ bound at admission to (connection, reqId); runs on the
+///        │ worker, or on the reader for a refusal
 ///        └─► serializes CompileResponse / RetryAfter, writes under the
 ///            connection's write lock with a bounded timeout
 ///
@@ -59,23 +60,17 @@ namespace net {
 struct ServerConfig {
   /// TCP port on 127.0.0.1; 0 = ephemeral (read back via port()).
   uint16_t Port = 0;
-  /// The wrapped compile service. OnResult must stay unset (the server
-  /// installs its own).
+  /// The wrapped compile service.
   ServiceConfig Service;
-  /// Wire-format caps handed to every connection's FrameReader.
-  Limits Lim;
   /// Jobs one connection may have admitted-but-unanswered. Above this
   /// the server answers RetryAfter without consulting the service.
   uint32_t MaxInFlightPerConn = 8;
-  /// Reader poll granularity (also bounds drain-notice latency).
-  int PollMs = 50;
   /// Slow-client guard: max time one response write may stall.
   int WriteTimeoutMs = 2000;
   /// Connections with no traffic and nothing in flight for this long
-  /// are closed. 0 disables reaping.
+  /// are closed (checked every quarter of it, but at least every 50 ms).
+  /// 0 disables reaping.
   int IdleTimeoutMs = 30000;
-  /// Delay hint carried in RetryAfter responses.
-  uint32_t RetryAfterMillis = 50;
 };
 
 /// Monotone wire-level counters (atomics; read with snapshot()).
@@ -140,11 +135,6 @@ private:
     std::atomic<bool> SawHello{false};
   };
 
-  struct PendingJob {
-    std::shared_ptr<Connection> Conn;
-    uint64_t ReqId = 0;
-  };
-
   void acceptLoop();
   void drainMain();
   void connectionLoop(std::shared_ptr<Connection> Conn);
@@ -155,8 +145,6 @@ private:
   bool handleFrame(const std::shared_ptr<Connection> &Conn, const Frame &F);
   void handleRequest(const std::shared_ptr<Connection> &Conn,
                      WireRequest Req);
-  /// The service's OnResult hook: routes \p R to the owning connection.
-  void deliverResult(uint64_t JobId, BatchResult R);
   /// Turns one finished BatchResult into its wire answer: RetryAfter for
   /// JobStatus::Rejected, CompileResponse for everything else.
   void respond(const std::shared_ptr<Connection> &Conn, uint64_t ReqId,
@@ -186,12 +174,6 @@ private:
   mutable std::mutex ConnsM;
   std::unordered_map<uint64_t, std::shared_ptr<Connection>> Conns;
   uint64_t NextConnId = 1;
-
-  std::mutex PendingM;
-  std::unordered_map<uint64_t, PendingJob> Pending;
-  /// Results that completed before tryEnqueue() returned their job id to
-  /// the admitting thread (the callback can outrun the admitter).
-  std::unordered_map<uint64_t, std::unique_ptr<BatchResult>> Unclaimed;
 
   struct AtomicStats {
     std::atomic<uint64_t> ConnectionsAccepted{0}, ConnectionsClosed{0},

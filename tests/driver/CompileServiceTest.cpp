@@ -11,7 +11,10 @@
 //     pool (service.pagesShared > 0) with no allocator corruption — the
 //     SlabAllocator's internal invariants run under every job.
 //   * Queue behavior: enqueue-while-running across multiple drains keeps
-//     in-order delivery and accumulates counters.
+//     id order and accumulates counters.
+//   * Completion handlers: every job's own handler runs exactly once with
+//     its status, refusals before tryEnqueue() returns, all before stop()
+//     returns.
 //   * Artifact cache: a cache-hit drain is byte-identical to a
 //     cache-disabled run at worker counts 1/4/8, error results replay
 //     byte-identically, and the service counters track hits/misses/bytes.
@@ -19,6 +22,7 @@
 //     counters reach equal totals at 1 and 4 workers.
 //===----------------------------------------------------------------------===//
 
+#include "ServiceTestSupport.h"
 #include "driver/CompileService.h"
 #include "support/FaultInjector.h"
 #include "workload/Corpus.h"
@@ -26,10 +30,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <map>
-#include <mutex>
+#include <thread>
 
 using namespace mpc;
 
@@ -81,11 +84,12 @@ TEST(CompileService, ServiceMatchesSerialColdAtEveryThreadCount) {
   for (unsigned Threads : {1u, 4u, 8u}) {
     ServiceConfig Cfg;
     Cfg.Threads = Threads;
+    ResultCollector Sink;
     CompileService Service(Cfg);
     std::vector<BatchJob> Jobs = serviceJobs();
     for (BatchJob &J : Jobs)
-      Service.enqueue(std::move(J));
-    std::vector<BatchResult> Results = Service.drain();
+      Sink.submit(Service, std::move(J));
+    std::vector<BatchResult> Results = Sink.drain(Service);
     ASSERT_EQ(Results.size(), Baseline.size()) << Threads << " threads";
     for (size_t I = 0; I < Results.size(); ++I) {
       std::string Label =
@@ -106,6 +110,7 @@ TEST(CompileService, ServiceMatchesSerialColdAtEveryThreadCount) {
 TEST(CompileService, PagePoolStressSharesPagesAcrossJobs) {
   ServiceConfig Cfg;
   Cfg.Threads = 4;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   ASSERT_NE(Service.pagePool(), nullptr);
   // Many small jobs: every completion releases its pages into the shared
@@ -117,9 +122,9 @@ TEST(CompileService, PagePoolStressSharesPagesAcrossJobs) {
     P.UnitsHint = 1;
     BatchJob J;
     J.Sources = generateWorkload(P);
-    Service.enqueue(std::move(J));
+    Sink.submit(Service, std::move(J));
   }
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), NumJobs);
   for (size_t I = 0; I < Results.size(); ++I)
     EXPECT_FALSE(Results[I].HadErrors) << "job " << I;
@@ -137,6 +142,7 @@ TEST(CompileService, EnqueueWhileRunningKeepsOrderAcrossDrains) {
   ServiceConfig Cfg;
   Cfg.Threads = 2;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   const auto &Corpus = corpusPrograms();
   auto JobFor = [&](size_t I) {
@@ -149,14 +155,14 @@ TEST(CompileService, EnqueueWhileRunningKeepsOrderAcrossDrains) {
   // First wave enqueued while workers may already be chewing on it.
   std::vector<uint64_t> Ids;
   for (size_t I = 0; I < 3 && I < Corpus.size(); ++I)
-    Ids.push_back(Service.enqueue(JobFor(I)));
-  std::vector<BatchResult> Wave1 = Service.drain();
+    Ids.push_back(Sink.submit(Service, JobFor(I)).Id);
+  std::vector<BatchResult> Wave1 = Sink.drain(Service);
   ASSERT_EQ(Wave1.size(), Ids.size());
   EXPECT_EQ(Ids.front(), 0u);
   // Second wave on the same (still running) service.
   for (size_t I = 0; I < 3 && I < Corpus.size(); ++I)
-    Service.enqueue(JobFor(I));
-  std::vector<BatchResult> Wave2 = Service.drain();
+    Sink.submit(Service, JobFor(I));
+  std::vector<BatchResult> Wave2 = Sink.drain(Service);
   ASSERT_EQ(Wave2.size(), Wave1.size());
   for (size_t I = 0; I < Wave1.size(); ++I)
     EXPECT_EQ(Wave1[I].DumpText, Wave2[I].DumpText) << "job " << I;
@@ -176,20 +182,22 @@ TEST(CompileService, CacheHitDrainIsByteIdenticalToCacheDisabledRun) {
   ServiceConfig BaseCfg;
   BaseCfg.Threads = 1;
   BaseCfg.Cache.Enabled = false;
+  ResultCollector BaselineSink;
   CompileService Baseline(BaseCfg);
   for (BatchJob &J : serviceJobs())
-    Baseline.enqueue(std::move(J));
-  std::vector<BatchResult> Expected = Baseline.drain();
+    BaselineSink.submit(Baseline, std::move(J));
+  std::vector<BatchResult> Expected = BaselineSink.drain(Baseline);
 
   for (unsigned Threads : {1u, 4u, 8u}) {
     ServiceConfig Cfg;
     Cfg.Threads = Threads;
+    ResultCollector Sink;
     CompileService Service(Cfg);
     ASSERT_NE(Service.artifactCache(), nullptr);
     for (int Round = 0; Round < 2; ++Round) {
       for (BatchJob &J : serviceJobs())
-        Service.enqueue(std::move(J));
-      std::vector<BatchResult> Results = Service.drain();
+        Sink.submit(Service, std::move(J));
+      std::vector<BatchResult> Results = Sink.drain(Service);
       ASSERT_EQ(Results.size(), Expected.size());
       for (size_t I = 0; I < Results.size(); ++I) {
         std::string Label = "job " + std::to_string(I) + " round " +
@@ -218,18 +226,19 @@ TEST(CompileService, CacheKeysOnSourceContent) {
   // text: must also miss (file names appear in dumps/diagnostics).
   ServiceConfig Cfg;
   Cfg.Threads = 1;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   auto Enqueue = [&](const std::string &Name, const std::string &Text) {
     BatchJob J;
     J.Sources.push_back({Name, Text});
     J.WantDump = true;
-    Service.enqueue(std::move(J));
+    Sink.submit(Service, std::move(J));
   };
   Enqueue("a.scala", corpusPrograms()[0].Source);
   Enqueue("a.scala", corpusPrograms()[1].Source);
   Enqueue("b.scala", corpusPrograms()[0].Source);
   Enqueue("a.scala", corpusPrograms()[0].Source); // the only repeat
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 4u);
   EXPECT_EQ(Results[3].DumpText, Results[0].DumpText);
   EXPECT_EQ(Service.stats().get("service.cacheMisses"), 3u);
@@ -241,14 +250,15 @@ TEST(CompileService, ErrorResultsReplayDeterministically) {
   // byte-identically.
   ServiceConfig Cfg;
   Cfg.Threads = 1;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   std::string Bad = "class C { def f(): Int = missing }";
   for (int I = 0; I < 2; ++I) {
     BatchJob J;
     J.Sources.push_back({"bad.scala", Bad});
-    Service.enqueue(std::move(J));
+    Sink.submit(Service, std::move(J));
   }
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 2u);
   EXPECT_TRUE(Results[0].HadErrors);
   EXPECT_TRUE(Results[1].HadErrors);
@@ -276,9 +286,10 @@ TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {
   {
     ServiceConfig Probe;
     Probe.Threads = 2;
+    ResultCollector Sink;
     CompileService Service(Probe);
     for (uint64_t Seed = 1; Seed <= NumJobs; ++Seed)
-      Service.enqueue(ChurnJob(Seed));
+      Sink.submit(Service, ChurnJob(Seed));
     Service.drain();
     TotalBytes = Service.stats().get("service.cacheBytes");
     ASSERT_GT(TotalBytes, 0u);
@@ -288,10 +299,11 @@ TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {
   ServiceConfig Cfg;
   Cfg.Threads = 2;
   Cfg.Cache.MaxBytes = TotalBytes / 3;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   for (uint64_t Seed = 1; Seed <= NumJobs; ++Seed) {
-    Service.enqueue(ChurnJob(Seed));
-    std::vector<BatchResult> R = Service.drain();
+    Sink.submit(Service, ChurnJob(Seed));
+    std::vector<BatchResult> R = Sink.drain(Service);
     ASSERT_EQ(R.size(), 1u);
     EXPECT_FALSE(R[0].HadErrors);
     EXPECT_LE(Service.stats().get("service.cacheBytes"), Cfg.Cache.MaxBytes)
@@ -305,194 +317,100 @@ TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {
 }
 
 //===----------------------------------------------------------------------===//
-// Backlog accounting
+// The completion-handler contract (what the network server builds on)
 //===----------------------------------------------------------------------===//
 
-TEST(CompileService, PendingJobsTracksBacklog) {
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  CompileService Service(Cfg);
-  EXPECT_EQ(Service.pendingJobs(), 0u);
-  unsigned NumJobs = 6;
-  for (uint64_t Seed = 1; Seed <= NumJobs; ++Seed) {
-    WorkloadProfile P = stdlibProfile(0.01);
-    P.Seed = Seed;
-    P.UnitsHint = 1;
-    BatchJob J;
-    J.Sources = generateWorkload(P);
-    Service.enqueue(std::move(J));
-  }
-  // Between enqueue and drain the backlog is at most everything
-  // enqueued; after the drain it must be exactly zero.
-  EXPECT_LE(Service.pendingJobs(), size_t(NumJobs));
-  std::vector<BatchResult> Results = Service.drain();
-  ASSERT_EQ(Results.size(), NumJobs);
-  EXPECT_EQ(Service.pendingJobs(), 0u);
-  // A second wave counts from zero again.
-  BatchJob J;
-  J.Sources.push_back({"ok.scala", corpusPrograms()[0].Source});
-  Service.enqueue(std::move(J));
-  EXPECT_LE(Service.pendingJobs(), 1u);
-  Service.drain();
-  EXPECT_EQ(Service.pendingJobs(), 0u);
-}
+/// Every job runs its own handler exactly once with its status — Ok,
+/// Rejected (refused under RejectNewest, shed under ShedOldest),
+/// DeadlineExceeded and Faulted. A refusal runs it before tryEnqueue()
+/// returns, while the only worker is held at a gate, and stop() returns
+/// only after every handler has run.
+TEST(CompileService, EveryJobRunsItsOwnHandlerOnceWithItsStatus) {
+  for (QueuePolicy Policy : {QueuePolicy::RejectNewest,
+                             QueuePolicy::ShedOldest}) {
+    const bool Shed = Policy == QueuePolicy::ShedOldest;
+    const std::string Label = Shed ? "ShedOldest" : "RejectNewest";
+    // The first job waits at the gate; every slab-page acquisition
+    // fails, so exactly the one job with the slab heap on faults.
+    WorkerGate Gate;
+    FaultConfig FC = Gate.config();
+    FC.PageAllocFailRate = 1.0;
+    ScopedFaultInjector Injector(FC);
 
-//===----------------------------------------------------------------------===//
-// OnResult streaming mode (what the network server builds on)
-//===----------------------------------------------------------------------===//
+    ResultCollector Sink;
+    ServiceConfig Cfg;
+    Cfg.Threads = 1;
+    Cfg.MaxQueueDepth = 3;
+    Cfg.Policy = Policy;
+    Cfg.Cache.Enabled = false;
+    CompileService Service(Cfg);
 
-/// Thread-safe Id -> Result sink for OnResult tests; counts duplicate
-/// deliveries, which must never happen.
-struct ResultSink {
-  std::mutex M;
-  std::map<uint64_t, BatchResult> Results;
-  uint64_t Duplicates = 0;
-
-  std::function<void(uint64_t, BatchResult)> callback() {
-    return [this](uint64_t Id, BatchResult R) {
-      std::lock_guard<std::mutex> L(M);
-      if (!Results.emplace(Id, std::move(R)).second)
-        ++Duplicates;
+    auto Job = [](double DeadlineSec = 0, bool Slab = false) {
+      BatchJob J;
+      J.Sources.push_back({"ok.scala", corpusPrograms()[0].Source});
+      J.Options.SlabHeap = Slab;
+      J.DeadlineSec = DeadlineSec;
+      return J;
     };
+    // 0 runs at the gate; 1 (the oldest queued job), 2 (a 1 ms deadline)
+    // and 3 (slab heap on) fill the queue; 4 arrives at a full queue.
+    ASSERT_TRUE(Sink.submit(Service, Job()).Accepted) << Label;
+    Gate.awaitBlocked();
+    ASSERT_TRUE(Sink.submit(Service, Job()).Accepted) << Label;
+    ASSERT_TRUE(Sink.submit(Service, Job(/*DeadlineSec=*/0.001)).Accepted)
+        << Label;
+    ASSERT_TRUE(
+        Sink.submit(Service, Job(/*DeadlineSec=*/0, /*Slab=*/true)).Accepted)
+        << Label;
+    AdmitResult Last = Sink.submit(Service, Job());
+    EXPECT_EQ(Last.Accepted, Shed) << Label;
+    EXPECT_EQ(Last.JobsShed, Shed ? 1u : 0u) << Label;
+    // The refused arrival (RejectNewest) or the shed oldest job
+    // (ShedOldest) has its answer already; the worker is still held.
+    const size_t RefusedIdx = Shed ? 1 : 4;
+    EXPECT_EQ(Sink.handlerRuns(), 1u) << Label;
+    EXPECT_EQ(Sink.runsOf(RefusedIdx), 1u) << Label;
+    EXPECT_EQ(Sink.statusOf(RefusedIdx), JobStatus::Rejected) << Label;
+
+    // Let job 2's deadline pass in the queue, then open the gate.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Gate.release();
+    Service.stop();
+
+    // No waiting: stop() has returned, so every handler has run.
+    EXPECT_EQ(Sink.handlerRuns(), 5u) << Label;
+    const JobStatus Expected[5] = {
+        JobStatus::Ok,
+        Shed ? JobStatus::Rejected : JobStatus::Ok,
+        JobStatus::DeadlineExceeded,
+        JobStatus::Faulted,
+        Shed ? JobStatus::Ok : JobStatus::Rejected,
+    };
+    for (size_t I = 0; I < 5; ++I) {
+      EXPECT_EQ(Sink.runsOf(I), 1u) << Label << " job " << I;
+      EXPECT_EQ(Sink.statusOf(I), Expected[I]) << Label << " job " << I;
+    }
+
+    // After stop() a job is refused without an id, and its handler still
+    // runs once, before tryEnqueue() returns.
+    EXPECT_EQ(Sink.submit(Service, Job()).Id, InvalidJobId) << Label;
+    EXPECT_EQ(Sink.runsOf(5), 1u) << Label;
+    EXPECT_EQ(Sink.statusOf(5), JobStatus::Rejected) << Label;
   }
-};
-
-TEST(CompileService, OnResultStreamsEveryJobExactlyOnce) {
-  std::vector<BatchResult> Baseline = serialColdBaseline(serviceJobs());
-
-  ResultSink Sink;
-  ServiceConfig Cfg;
-  Cfg.Threads = 4;
-  Cfg.OnResult = Sink.callback();
-  CompileService Service(Cfg);
-  std::vector<BatchJob> Jobs = serviceJobs();
-  size_t NumJobs = Jobs.size();
-  for (BatchJob &J : Jobs) {
-    AdmitResult A = Service.tryEnqueue(std::move(J));
-    ASSERT_TRUE(A.Accepted);
-  }
-  // stop() returns only after the callback fired for every admitted job
-  // — the guarantee graceful drain is built on. No sleep, no polling:
-  // if this contract breaks, the assertions below race and fail.
-  Service.stop();
-
-  std::lock_guard<std::mutex> L(Sink.M);
-  EXPECT_EQ(Sink.Duplicates, 0u);
-  ASSERT_EQ(Sink.Results.size(), NumJobs);
-  for (size_t I = 0; I < NumJobs; ++I) {
-    auto It = Sink.Results.find(I);
-    ASSERT_NE(It, Sink.Results.end()) << "job " << I << " never delivered";
-    EXPECT_EQ(It->second.Status, JobStatus::Ok) << "job " << I;
-    EXPECT_EQ(It->second.DumpText, Baseline[I].DumpText)
-        << "streamed result diverged from the serial baseline, job " << I;
-  }
-}
-
-TEST(CompileService, OnResultDeliversRefusalsImmediately) {
-  // Gate the single worker at its first frontend entry so the queue
-  // state is deterministic: A running (blocked), B queued (depth 1
-  // full), C refused. C's Rejected result must stream out while the
-  // worker is still blocked — refusals never wait for compile capacity.
-  std::mutex GateM;
-  std::condition_variable GateCv;
-  bool Open = false;
-  std::atomic<unsigned> Arrived{0};
-  FaultConfig FC;
-  FC.StageHook = [&](FaultSite Site) {
-    if (Site != FaultSite::FrontendEntry)
-      return;
-    std::unique_lock<std::mutex> L(GateM);
-    ++Arrived;
-    GateCv.notify_all();
-    GateCv.wait(L, [&] { return Open; });
-  };
-  ScopedFaultInjector Injector(FC);
-
-  ResultSink Sink;
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.MaxQueueDepth = 1;
-  Cfg.Policy = QueuePolicy::RejectNewest;
-  Cfg.OnResult = Sink.callback();
-  CompileService Service(Cfg);
-
-  auto TinyJob = [] {
-    BatchJob J;
-    J.Sources.push_back({"ok.scala", corpusPrograms()[0].Source});
-    return J;
-  };
-  AdmitResult A = Service.tryEnqueue(TinyJob());
-  ASSERT_TRUE(A.Accepted);
-  {
-    // Wait until the worker holds job A inside the gate.
-    std::unique_lock<std::mutex> L(GateM);
-    GateCv.wait(L, [&] { return Arrived.load() >= 1; });
-  }
-  AdmitResult B = Service.tryEnqueue(TinyJob());
-  ASSERT_TRUE(B.Accepted);
-  AdmitResult C = Service.tryEnqueue(TinyJob());
-  EXPECT_FALSE(C.Accepted);
-  ASSERT_NE(C.Id, InvalidJobId) << "refusal still owes a result";
-
-  // C's refusal has already streamed — the worker is still blocked.
-  {
-    std::lock_guard<std::mutex> L(Sink.M);
-    auto It = Sink.Results.find(C.Id);
-    ASSERT_NE(It, Sink.Results.end());
-    EXPECT_EQ(It->second.Status, JobStatus::Rejected);
-    EXPECT_TRUE(It->second.HadErrors);
-  }
-
-  {
-    std::lock_guard<std::mutex> L(GateM);
-    Open = true;
-  }
-  GateCv.notify_all();
-  Service.stop();
-
-  std::lock_guard<std::mutex> L(Sink.M);
-  EXPECT_EQ(Sink.Duplicates, 0u);
-  ASSERT_EQ(Sink.Results.size(), 3u);
-  EXPECT_EQ(Sink.Results[A.Id].Status, JobStatus::Ok);
-  EXPECT_EQ(Sink.Results[B.Id].Status, JobStatus::Ok);
-}
-
-TEST(CompileService, OnResultModeDrainReturnsNothingButMergesStats) {
-  ResultSink Sink;
-  ServiceConfig Cfg;
-  Cfg.Threads = 2;
-  Cfg.OnResult = Sink.callback();
-  CompileService Service(Cfg);
-  unsigned NumJobs = 5;
-  for (uint64_t Seed = 1; Seed <= NumJobs; ++Seed) {
-    WorkloadProfile P = stdlibProfile(0.01);
-    P.Seed = Seed;
-    P.UnitsHint = 1;
-    BatchJob J;
-    J.Sources = generateWorkload(P);
-    ASSERT_TRUE(Service.tryEnqueue(std::move(J)).Accepted);
-  }
-  // Results went to the callback; drain() owes nothing but still
-  // quiesces and merges the pending job counters.
-  std::vector<BatchResult> Drained = Service.drain();
-  EXPECT_TRUE(Drained.empty());
-  EXPECT_EQ(Service.stats().get("service.jobsCompleted"), NumJobs);
-  std::lock_guard<std::mutex> L(Sink.M);
-  EXPECT_EQ(Sink.Results.size(), NumJobs);
-  EXPECT_EQ(Sink.Duplicates, 0u);
 }
 
 TEST(CompileService, ErrorsStayIsolatedWithoutContexts) {
   ServiceConfig Cfg;
   Cfg.Threads = 2;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   BatchJob Good;
   Good.Sources.push_back({"ok.scala", corpusPrograms()[0].Source});
   BatchJob Bad;
   Bad.Sources.push_back({"bad.scala", "class C { def f(): Int = missing }"});
-  Service.enqueue(std::move(Good));
-  Service.enqueue(std::move(Bad));
-  std::vector<BatchResult> Results = Service.drain();
+  Sink.submit(Service, std::move(Good));
+  Sink.submit(Service, std::move(Bad));
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 2u);
   EXPECT_FALSE(Results[0].HadErrors);
   EXPECT_TRUE(Results[1].HadErrors);
@@ -503,7 +421,7 @@ TEST(CompileService, ErrorsStayIsolatedWithoutContexts) {
 /// stats() is a snapshot taken by drain(): jobs that complete after it
 /// do not move it, and the next drain folds them in. The deterministic
 /// counters (everything but wall-clock and page-pool gauges) reach the
-/// same totals at 1 and 4 workers, in drain-window and OnResult mode.
+/// same totals at 1 and 4 workers.
 TEST(CompileService, StatsStableBetweenDrainsAndEqualAcrossWorkerCounts) {
   auto Wave = [](uint64_t FirstSeed) {
     std::vector<BatchJob> Jobs;
@@ -532,39 +450,32 @@ TEST(CompileService, StatsStableBetweenDrainsAndEqualAcrossWorkerCounts) {
       Out.erase(Key);
     return Out;
   };
-  for (bool Streaming : {false, true}) {
-    std::map<std::string, uint64_t> Totals[2];
-    for (unsigned Idx = 0; Idx < 2; ++Idx) {
-      unsigned Threads = Idx == 0 ? 1 : 4;
-      std::string Label = std::string(Streaming ? "OnResult" : "window") +
-                          " @ " + std::to_string(Threads) + " threads";
-      ResultSink Sink;
-      ServiceConfig Cfg;
-      Cfg.Threads = Threads;
-      if (Streaming)
-        Cfg.OnResult = Sink.callback();
-      CompileService Service(Cfg);
-      for (BatchJob &J : Wave(1))
-        ASSERT_TRUE(Service.tryEnqueue(std::move(J)).Accepted) << Label;
-      Service.drain();
-      std::map<std::string, uint64_t> AfterFirst = Service.stats().all();
-      EXPECT_EQ(AfterFirst.at("service.jobsCompleted"), 5u) << Label;
+  std::map<std::string, uint64_t> Totals[2];
+  for (unsigned Idx = 0; Idx < 2; ++Idx) {
+    unsigned Threads = Idx == 0 ? 1 : 4;
+    std::string Label = std::to_string(Threads) + " threads";
+    ResultCollector Sink;
+    ServiceConfig Cfg;
+    Cfg.Threads = Threads;
+    CompileService Service(Cfg);
+    for (BatchJob &J : Wave(1))
+      ASSERT_TRUE(Sink.submit(Service, std::move(J)).Accepted) << Label;
+    Service.drain();
+    std::map<std::string, uint64_t> AfterFirst = Service.stats().all();
+    EXPECT_EQ(AfterFirst.at("service.jobsCompleted"), 5u) << Label;
 
-      for (BatchJob &J : Wave(101))
-        ASSERT_TRUE(Service.tryEnqueue(std::move(J)).Accepted) << Label;
-      // Wait for every job to complete without draining.
-      while (Service.pendingJobs() != 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      EXPECT_EQ(Service.stats().all(), AfterFirst) << Label;
+    for (BatchJob &J : Wave(101))
+      ASSERT_TRUE(Sink.submit(Service, std::move(J)).Accepted) << Label;
+    // Wait for every job's handler without draining.
+    Sink.waitForRuns(10);
+    EXPECT_EQ(Service.stats().all(), AfterFirst) << Label;
 
-      Service.drain();
-      EXPECT_EQ(Service.stats().get("service.jobsCompleted"), 10u) << Label;
-      EXPECT_GT(Service.stats().get("fusion.nodesVisited"), 0u) << Label;
-      Totals[Idx] = Deterministic(Service.stats());
-    }
-    EXPECT_EQ(Totals[0], Totals[1])
-        << (Streaming ? "OnResult" : "window") << " mode";
+    Service.drain();
+    EXPECT_EQ(Service.stats().get("service.jobsCompleted"), 10u) << Label;
+    EXPECT_GT(Service.stats().get("fusion.nodesVisited"), 0u) << Label;
+    Totals[Idx] = Deterministic(Service.stats());
   }
+  EXPECT_EQ(Totals[0], Totals[1]);
 }
 
 } // namespace

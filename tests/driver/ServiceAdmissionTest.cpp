@@ -10,6 +10,7 @@
 // schedule is fully reproducible (asserted via BatchResult::DequeueSeq).
 //===----------------------------------------------------------------------===//
 
+#include "ServiceTestSupport.h"
 #include "driver/CompileService.h"
 #include "support/FaultInjector.h"
 #include "workload/Corpus.h"
@@ -17,8 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 
 using namespace mpc;
@@ -36,47 +35,6 @@ BatchJob tinyJob(size_t CorpusIdx, JobPriority Priority = JobPriority::Batch,
   J.DeadlineSec = DeadlineSec;
   return J;
 }
-
-/// Blocks the first stage arrival (i.e. the first job a worker starts)
-/// until release() — the scaffolding for building exact queue states
-/// behind a busy single worker.
-class WorkerGate {
-public:
-  FaultConfig config() {
-    FaultConfig Cfg;
-    Cfg.StageHook = [this](FaultSite) {
-      std::unique_lock<std::mutex> Lock(M);
-      if (Armed) {
-        Armed = false;
-        Blocked = true;
-        BlockedCv.notify_all();
-        ReleaseCv.wait(Lock, [this] { return Released; });
-      }
-    };
-    return Cfg;
-  }
-
-  /// Waits until the worker is parked inside the gate.
-  void awaitBlocked() {
-    std::unique_lock<std::mutex> Lock(M);
-    BlockedCv.wait(Lock, [this] { return Blocked; });
-  }
-
-  void release() {
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      Released = true;
-    }
-    ReleaseCv.notify_all();
-  }
-
-private:
-  std::mutex M;
-  std::condition_variable BlockedCv, ReleaseCv;
-  bool Armed = true;
-  bool Blocked = false;
-  bool Released = false;
-};
 
 /// Serial cold compile of one job — the unloaded reference output.
 BatchResult serialReference(BatchJob Job) {
@@ -98,16 +56,17 @@ TEST(ServiceAdmission, ShedOldestBoundsQueueAndKeepsAcceptedJobsExact) {
   Cfg.MaxQueueDepth = 8;
   Cfg.Policy = QueuePolicy::ShedOldest;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
 
   // Job 0 blocks inside the worker; 40 more arrive open-loop. The queue
   // holds 8, so arrivals 9.. displace the oldest queued job each.
   const size_t Extra = 40;
   uint64_t TotalShed = 0;
-  ASSERT_TRUE(Service.tryEnqueue(tinyJob(0)).Accepted);
+  ASSERT_TRUE(Sink.submit(Service, tinyJob(0)).Accepted);
   Gate.awaitBlocked();
   for (size_t I = 1; I <= Extra; ++I) {
-    AdmitResult A = Service.tryEnqueue(tinyJob(I));
+    AdmitResult A = Sink.submit(Service, tinyJob(I));
     EXPECT_TRUE(A.Accepted) << "arrival " << I;
     EXPECT_EQ(A.Id, I);
     TotalShed += A.JobsShed;
@@ -117,7 +76,7 @@ TEST(ServiceAdmission, ShedOldestBoundsQueueAndKeepsAcceptedJobsExact) {
   EXPECT_EQ(TotalShed, Extra - Cfg.MaxQueueDepth);
 
   Gate.release();
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 1 + Extra); // every id owns a slot, in order
 
   // The survivors: job 0 (running at overload time) and the newest 8.
@@ -157,22 +116,23 @@ TEST(ServiceAdmission, ShedOldestPrefersBatchLaneVictims) {
   Cfg.MaxQueueDepth = 4;
   Cfg.Policy = QueuePolicy::ShedOldest;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
 
-  Service.tryEnqueue(tinyJob(0)); // blocks the worker
+  Sink.submit(Service, tinyJob(0)); // blocks the worker
   Gate.awaitBlocked();
   // Queue: two interactive (ids 1, 2), two batch (ids 3, 4). The next
   // arrival must shed the OLDEST BATCH job (id 3), not an interactive one.
-  Service.tryEnqueue(tinyJob(1, JobPriority::Interactive));
-  Service.tryEnqueue(tinyJob(2, JobPriority::Interactive));
-  Service.tryEnqueue(tinyJob(3, JobPriority::Batch));
-  Service.tryEnqueue(tinyJob(4, JobPriority::Batch));
-  AdmitResult A = Service.tryEnqueue(tinyJob(5, JobPriority::Interactive));
+  Sink.submit(Service, tinyJob(1, JobPriority::Interactive));
+  Sink.submit(Service, tinyJob(2, JobPriority::Interactive));
+  Sink.submit(Service, tinyJob(3, JobPriority::Batch));
+  Sink.submit(Service, tinyJob(4, JobPriority::Batch));
+  AdmitResult A = Sink.submit(Service, tinyJob(5, JobPriority::Interactive));
   EXPECT_TRUE(A.Accepted);
   EXPECT_EQ(A.JobsShed, 1u);
 
   Gate.release();
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 6u);
   EXPECT_EQ(Results[3].Status, JobStatus::Rejected); // the batch victim
   for (size_t I : {size_t(1), size_t(2), size_t(4), size_t(5)})
@@ -192,23 +152,24 @@ TEST(ServiceAdmission, RejectNewestRefusesArrivalsAtFullQueue) {
   Cfg.MaxQueueDepth = 4;
   Cfg.Policy = QueuePolicy::RejectNewest;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
 
-  Service.tryEnqueue(tinyJob(0)); // blocks the worker
+  Sink.submit(Service, tinyJob(0)); // blocks the worker
   Gate.awaitBlocked();
   for (size_t I = 1; I <= 4; ++I)
-    EXPECT_TRUE(Service.tryEnqueue(tinyJob(I)).Accepted) << "arrival " << I;
+    EXPECT_TRUE(Sink.submit(Service, tinyJob(I)).Accepted) << "arrival " << I;
   // Queue full: the next three arrivals are refused, each still owning
   // an id and a (immediately completed) Rejected slot.
   for (size_t I = 5; I <= 7; ++I) {
-    AdmitResult A = Service.tryEnqueue(tinyJob(I));
+    AdmitResult A = Sink.submit(Service, tinyJob(I));
     EXPECT_FALSE(A.Accepted) << "arrival " << I;
     EXPECT_EQ(A.Id, I);
     EXPECT_EQ(A.JobsShed, 0u);
   }
 
   Gate.release();
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 8u);
   for (size_t I = 0; I <= 4; ++I)
     EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
@@ -228,13 +189,14 @@ TEST(ServiceAdmission, BlockPolicyThrottlesProducerWithoutLoss) {
   Cfg.MaxQueueDepth = 2;
   Cfg.Policy = QueuePolicy::Block;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   const size_t N = 16;
   for (size_t I = 0; I < N; ++I) {
-    AdmitResult A = Service.tryEnqueue(tinyJob(I));
+    AdmitResult A = Sink.submit(Service, tinyJob(I));
     EXPECT_TRUE(A.Accepted) << "arrival " << I;
   }
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), N);
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
@@ -254,18 +216,19 @@ TEST(ServiceAdmission, PriorityLanesFollowBurstCappedSchedule) {
   ServiceConfig Cfg;
   Cfg.Threads = 1;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
 
   // The blocker is interactive, so SinceBatch == 1 when the gate opens.
-  Service.tryEnqueue(tinyJob(0, JobPriority::Interactive));
+  Sink.submit(Service, tinyJob(0, JobPriority::Interactive));
   Gate.awaitBlocked();
   for (size_t I = 0; I < 8; ++I)
-    Service.tryEnqueue(tinyJob(1 + I, JobPriority::Interactive));
-  Service.tryEnqueue(tinyJob(9, JobPriority::Batch));
-  Service.tryEnqueue(tinyJob(10, JobPriority::Batch));
+    Sink.submit(Service, tinyJob(1 + I, JobPriority::Interactive));
+  Sink.submit(Service, tinyJob(9, JobPriority::Batch));
+  Sink.submit(Service, tinyJob(10, JobPriority::Batch));
 
   Gate.release();
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 11u);
   // One gated worker => the dequeue schedule is exact. Interactive jobs
   // I0..I7 (enqueue ids 1..8) and batch B0,B1 (ids 9,10) interleave as:
@@ -285,16 +248,17 @@ TEST(ServiceAdmission, InteractiveJumpsAheadOfQueuedBatchWork) {
   ServiceConfig Cfg;
   Cfg.Threads = 1;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
 
-  Service.tryEnqueue(tinyJob(0)); // blocks the worker (batch)
+  Sink.submit(Service, tinyJob(0)); // blocks the worker (batch)
   Gate.awaitBlocked();
-  Service.tryEnqueue(tinyJob(1, JobPriority::Batch));
-  Service.tryEnqueue(tinyJob(2, JobPriority::Batch));
-  Service.tryEnqueue(tinyJob(3, JobPriority::Interactive));
+  Sink.submit(Service, tinyJob(1, JobPriority::Batch));
+  Sink.submit(Service, tinyJob(2, JobPriority::Batch));
+  Sink.submit(Service, tinyJob(3, JobPriority::Interactive));
 
   Gate.release();
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 4u);
   // The late interactive arrival (id 3) dequeues before both queued
   // batch jobs.
@@ -313,16 +277,17 @@ TEST(ServiceAdmission, DeadlineExpiredInQueueCompletesWithoutCompiling) {
   ServiceConfig Cfg;
   Cfg.Threads = 1;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
 
-  Service.tryEnqueue(tinyJob(0)); // blocks the worker
+  Sink.submit(Service, tinyJob(0)); // blocks the worker
   Gate.awaitBlocked();
   // 1 ms deadline, then the queue wait is forced well past it.
-  Service.tryEnqueue(tinyJob(1, JobPriority::Batch, /*DeadlineSec=*/0.001));
+  Sink.submit(Service, tinyJob(1, JobPriority::Batch, /*DeadlineSec=*/0.001));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Gate.release();
 
-  std::vector<BatchResult> Results = Service.drain();
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 2u);
   EXPECT_EQ(Results[0].Status, JobStatus::Ok);
   EXPECT_EQ(Results[1].Status, JobStatus::DeadlineExceeded);
@@ -346,12 +311,13 @@ TEST(ServiceAdmission, DeadlineExceededMidCompileLeavesTheServiceHealthy) {
   ServiceConfig Cfg;
   Cfg.Threads = 1;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
 
   {
     ScopedFaultInjector Injector(FC);
-    Service.enqueue(tinyJob(0, JobPriority::Batch, /*DeadlineSec=*/0.03));
-    std::vector<BatchResult> Results = Service.drain();
+    Sink.submit(Service, tinyJob(0, JobPriority::Batch, /*DeadlineSec=*/0.03));
+    std::vector<BatchResult> Results = Sink.drain(Service);
     ASSERT_EQ(Results.size(), 1u);
     EXPECT_EQ(Results[0].Status, JobStatus::DeadlineExceeded);
     EXPECT_TRUE(Results[0].HadErrors);
@@ -362,8 +328,8 @@ TEST(ServiceAdmission, DeadlineExceededMidCompileLeavesTheServiceHealthy) {
   // the next job on the same service is byte-identical to an unloaded
   // run.
   BatchResult Ref = serialReference(tinyJob(1));
-  Service.enqueue(tinyJob(1));
-  std::vector<BatchResult> Results = Service.drain();
+  Sink.submit(Service, tinyJob(1));
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 1u);
   EXPECT_EQ(Results[0].Status, JobStatus::Ok);
   EXPECT_EQ(Results[0].DumpText, Ref.DumpText);
@@ -381,10 +347,11 @@ TEST(ServiceAdmission, JobsWithoutDeadlinesNeverExpire) {
   ServiceConfig Cfg;
   Cfg.Threads = 2;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   for (size_t I = 0; I < 4; ++I)
-    Service.enqueue(tinyJob(I));
-  std::vector<BatchResult> Results = Service.drain();
+    Sink.submit(Service, tinyJob(I));
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 4u);
   for (size_t I = 0; I < 4; ++I)
     EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
@@ -399,17 +366,18 @@ TEST(ServiceAdmission, StopDrainsAcceptedWorkAndRefusesNewWork) {
   ServiceConfig Cfg;
   Cfg.Threads = 2;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   for (size_t I = 0; I < 4; ++I)
-    ASSERT_TRUE(Service.tryEnqueue(tinyJob(I)).Accepted);
+    ASSERT_TRUE(Sink.submit(Service, tinyJob(I)).Accepted);
   Service.stop();
   // Admitted-before-stop jobs ran to completion; new work is refused
   // with no id and no slot.
-  AdmitResult After = Service.tryEnqueue(tinyJob(0));
+  AdmitResult After = Sink.submit(Service, tinyJob(0));
   EXPECT_FALSE(After.Accepted);
   EXPECT_EQ(After.Id, InvalidJobId);
-  EXPECT_EQ(Service.enqueue(tinyJob(0)), InvalidJobId);
-  std::vector<BatchResult> Results = Service.drain();
+  EXPECT_EQ(Sink.submit(Service, tinyJob(0)).Id, InvalidJobId);
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), 4u);
   for (size_t I = 0; I < 4; ++I)
     EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
@@ -425,6 +393,7 @@ TEST(ServiceAdmission, EnqueueRacingShutdownIsClean) {
     ServiceConfig Cfg;
     Cfg.Threads = 2;
     Cfg.Cache.Enabled = false;
+    ResultCollector Sink;
     auto Service = std::make_unique<CompileService>(Cfg);
 
     std::atomic<bool> Go{false};
@@ -433,7 +402,7 @@ TEST(ServiceAdmission, EnqueueRacingShutdownIsClean) {
       while (!Go.load())
         std::this_thread::yield();
       for (int I = 0; I < 64; ++I) {
-        AdmitResult A = Service->tryEnqueue(tinyJob(I));
+        AdmitResult A = Sink.submit(*Service, tinyJob(I));
         if (!A.Accepted)
           break; // the service stopped underneath us — expected
         ++Accepted;
@@ -444,7 +413,7 @@ TEST(ServiceAdmission, EnqueueRacingShutdownIsClean) {
     std::this_thread::sleep_for(std::chrono::microseconds(50 * Round));
     Service->stop();
     Producer.join();
-    std::vector<BatchResult> Results = Service->drain();
+    std::vector<BatchResult> Results = Sink.drain(*Service);
     EXPECT_EQ(Results.size(), Accepted.load()) << "round " << Round;
     for (const BatchResult &R : Results)
       EXPECT_EQ(R.Status, JobStatus::Ok);

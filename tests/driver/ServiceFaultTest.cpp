@@ -12,6 +12,7 @@
 //     shared page pool.
 //===----------------------------------------------------------------------===//
 
+#include "ServiceTestSupport.h"
 #include "driver/CompileService.h"
 #include "support/FaultInjector.h"
 #include "workload/Corpus.h"
@@ -48,14 +49,15 @@ void runFaultMatrix(const FaultConfig &FC, unsigned Threads,
   ServiceConfig Cfg;
   Cfg.Threads = Threads;
   Cfg.Cache.Enabled = false; // every job must really compile
+  ResultCollector Sink;
   CompileService Service(Cfg);
 
   uint64_t ExpectedFaults = 0;
   {
     ScopedFaultInjector Injector(FC);
     for (BatchJob &J : faultJobs())
-      Service.enqueue(std::move(J));
-    std::vector<BatchResult> Results = Service.drain();
+      Sink.submit(Service, std::move(J));
+    std::vector<BatchResult> Results = Sink.drain(Service);
     ASSERT_EQ(Results.size(), Clean.size()) << Label;
 
     size_t Faulted = 0, Ok = 0;
@@ -94,8 +96,8 @@ void runFaultMatrix(const FaultConfig &FC, unsigned Threads,
   // pages that faulted jobs released into the shared pool — must be
   // byte-identical to the clean serial cold run.
   for (BatchJob &J : faultJobs())
-    Service.enqueue(std::move(J));
-  std::vector<BatchResult> After = Service.drain();
+    Sink.submit(Service, std::move(J));
+  std::vector<BatchResult> After = Sink.drain(Service);
   ASSERT_EQ(After.size(), Clean.size()) << Label;
   for (size_t I = 0; I < After.size(); ++I) {
     EXPECT_EQ(After[I].Status, JobStatus::Ok) << Label << " job " << I;
@@ -152,10 +154,11 @@ TEST(ServiceFault, DelaysAloneChangeNothing) {
   ServiceConfig Cfg;
   Cfg.Threads = 4;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   for (BatchJob &J : faultJobs())
-    Service.enqueue(std::move(J));
-  std::vector<BatchResult> Results = Service.drain();
+    Sink.submit(Service, std::move(J));
+  std::vector<BatchResult> Results = Sink.drain(Service);
   ASSERT_EQ(Results.size(), Clean.size());
   for (size_t I = 0; I < Results.size(); ++I) {
     EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
@@ -176,11 +179,12 @@ TEST(ServiceFault, PoolTakeMissesForceFreshMappingsHarmlessly) {
   ServiceConfig Cfg;
   Cfg.Threads = 4;
   Cfg.Cache.Enabled = false;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   for (int Round = 0; Round < 2; ++Round) {
     for (BatchJob &J : faultJobs())
-      Service.enqueue(std::move(J));
-    std::vector<BatchResult> Results = Service.drain();
+      Sink.submit(Service, std::move(J));
+    std::vector<BatchResult> Results = Sink.drain(Service);
     ASSERT_EQ(Results.size(), Clean.size());
     for (size_t I = 0; I < Results.size(); ++I) {
       EXPECT_EQ(Results[I].Status, JobStatus::Ok)

@@ -13,6 +13,7 @@
 // seconds) so it can ride in the sanitizer CI jobs.
 //===----------------------------------------------------------------------===//
 
+#include "ServiceTestSupport.h"
 #include "driver/CompileService.h"
 #include "support/FaultInjector.h"
 #include "support/Rng.h"
@@ -40,6 +41,7 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
   Cfg.Cache.Enabled = false; // every job exercises a real context
   Cfg.MaxQueueDepth = 32;
   Cfg.Policy = QueuePolicy::ShedOldest;
+  ResultCollector Sink;
   CompileService Service(Cfg);
   ASSERT_NE(Service.pagePool(), nullptr);
   const size_t PoolCap = Service.pagePool()->config().MaxPages;
@@ -87,9 +89,9 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
       }
       J.Priority =
           R.next() % 4 == 0 ? JobPriority::Interactive : JobPriority::Batch;
-      Service.tryEnqueue(std::move(J));
+      Sink.submit(Service, std::move(J));
     }
-    std::vector<BatchResult> Results = Service.drain();
+    std::vector<BatchResult> Results = Sink.drain(Service);
     EXPECT_LE(Results.size(), size_t(JobsPerRound));
 
     // Fixed-point assertions, once the page pool is warm.

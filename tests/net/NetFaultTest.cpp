@@ -47,7 +47,6 @@ std::string localDump(uint64_t Seed, double Scale = 0.02) {
 ServerConfig serverConfig() {
   ServerConfig Cfg;
   Cfg.Service.Threads = 2;
-  Cfg.PollMs = 10;
   return Cfg;
 }
 

@@ -441,7 +441,6 @@ struct ServerFixture {
   static ServerConfig smallConfig() {
     ServerConfig Cfg;
     Cfg.Service.Threads = 2;
-    Cfg.PollMs = 10;
     return Cfg;
   }
 };

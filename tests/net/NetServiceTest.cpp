@@ -55,7 +55,6 @@ struct TestServer {
   static ServerConfig base() {
     ServerConfig Cfg;
     Cfg.Service.Threads = 2;
-    Cfg.PollMs = 10;
     return Cfg;
   }
 };
@@ -385,7 +384,6 @@ TEST(NetServiceTest, DrainWithNoTrafficCompletesQuickly) {
 TEST(NetServiceTest, IdleConnectionsAreReaped) {
   ServerConfig Cfg = TestServer::base();
   Cfg.IdleTimeoutMs = 100;
-  Cfg.PollMs = 20;
   TestServer TS(Cfg);
 
   std::string Err;
@@ -412,7 +410,6 @@ TEST(NetServiceTest, IdleConnectionsAreReaped) {
 TEST(NetServiceTest, PingDefeatsIdleReaping) {
   ServerConfig Cfg = TestServer::base();
   Cfg.IdleTimeoutMs = 150;
-  Cfg.PollMs = 20;
   TestServer TS(Cfg);
 
   ClientConfig CC;

@@ -17,14 +17,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ArgReader.h"
 #include "net/LoadGen.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace mpc::net;
@@ -43,84 +39,35 @@ constexpr uint64_t MaxRps = 1'000'000;
 constexpr double MaxScale = 10;
 constexpr uint64_t MaxVariants = 1024;
 
-const char *argValue(int Argc, char **Argv, int &I, const char *Flag) {
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "mpc_load_client: %s needs a value\n", Flag);
-    std::exit(2);
-  }
-  return Argv[++I];
-}
-
-/// The decimal integer after \p Flag, which must lie in [Lo, Hi].
-uint64_t argInt(int Argc, char **Argv, int &I, const char *Flag,
-                uint64_t Lo, uint64_t Hi) {
-  const char *S = argValue(Argc, Argv, I, Flag);
-  char *End = nullptr;
-  errno = 0;
-  // strtoull would accept a sign or leading space; demand a digit first.
-  unsigned long long V = 0;
-  if (std::isdigit(static_cast<unsigned char>(S[0])))
-    V = std::strtoull(S, &End, 10);
-  if (!End || *End != '\0' || errno == ERANGE || V < Lo || V > Hi) {
-    std::fprintf(stderr,
-                 "mpc_load_client: %s '%s' is not an integer in [%llu, %llu]\n",
-                 Flag, S, (unsigned long long)Lo, (unsigned long long)Hi);
-    std::exit(2);
-  }
-  return V;
-}
-
-/// The finite number after \p Flag, which must lie in [0, Hi].
-double argNum(int Argc, char **Argv, int &I, const char *Flag, double Hi) {
-  const char *S = argValue(Argc, Argv, I, Flag);
-  char *End = nullptr;
-  double V = std::strtod(S, &End);
-  if (End == S || *End != '\0' || !std::isfinite(V) || V < 0 || V > Hi) {
-    std::fprintf(stderr,
-                 "mpc_load_client: %s '%s' is not a finite number in "
-                 "[0, %g]\n",
-                 Flag, S, Hi);
-    std::exit(2);
-  }
-  return V;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   LoadGenConfig Cfg;
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
+  ArgReader Args("mpc_load_client", Argc, Argv);
+  while (Args.next()) {
+    std::string A = Args.flag();
     if (A == "--port")
-      Cfg.Port =
-          static_cast<uint16_t>(argInt(Argc, Argv, I, "--port", 1, 65535));
+      Cfg.Port = static_cast<uint16_t>(Args.integer(1, 65535));
     else if (A == "--rps")
-      Cfg.Rps = double(argInt(Argc, Argv, I, "--rps", 0, MaxRps));
+      Cfg.Rps = double(Args.integer(0, MaxRps));
     else if (A == "--requests")
-      Cfg.NumRequests = argInt(Argc, Argv, I, "--requests", 1, MaxRequests);
+      Cfg.NumRequests = Args.integer(1, MaxRequests);
     else if (A == "--connections")
-      Cfg.Connections = static_cast<unsigned>(
-          argInt(Argc, Argv, I, "--connections", 1, MaxConnections));
+      Cfg.Connections =
+          static_cast<unsigned>(Args.integer(1, MaxConnections));
     else if (A == "--seed")
-      Cfg.Seed = argInt(Argc, Argv, I, "--seed", 0, UINT64_MAX);
+      Cfg.Seed = Args.integer(0, UINT64_MAX);
     else if (A == "--scale")
-      Cfg.SourceScale = argNum(Argc, Argv, I, "--scale", MaxScale);
+      Cfg.SourceScale = Args.number(MaxScale);
     else if (A == "--variants")
-      Cfg.Variants = static_cast<unsigned>(
-          argInt(Argc, Argv, I, "--variants", 1, MaxVariants));
+      Cfg.Variants = static_cast<unsigned>(Args.integer(1, MaxVariants));
     else if (A == "--deadline-ms")
-      Cfg.DeadlineMillis =
-          argInt(Argc, Argv, I, "--deadline-ms", 0, UINT64_MAX);
-    else {
-      std::fprintf(stderr, "mpc_load_client: unknown flag '%s'\n",
-                   A.c_str());
-      return 2;
-    }
+      Cfg.DeadlineMillis = Args.integer(0, UINT64_MAX);
+    else
+      Args.fail("unknown flag '" + A + "'");
   }
-  if (Cfg.Port == 0) {
-    std::fprintf(stderr, "mpc_load_client: --port is required\n");
-    return 2;
-  }
+  if (Cfg.Port == 0)
+    Args.fail("--port is required");
 
   LoadGenReport Rep = runLoadGen(Cfg);
   std::printf("%s\n", formatReport(Rep).c_str());

@@ -12,14 +12,20 @@
 // every admitted job (or RetryAfter), Goodbye on every connection, then
 // exit 0. The drain contract is what the tier-1 smoke test pins.
 //
+// Every value is checked before the server binds or starts a thread: a
+// malformed or out-of-range value ends the run with status 2. --port 0
+// asks for an ephemeral port and --threads 0 for one worker per core.
+//
 //===----------------------------------------------------------------------===//
 
+#include "ArgReader.h"
 #include "net/Server.h"
 
 #include <cerrno>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <unistd.h>
@@ -39,13 +45,9 @@ void onSignal(int) {
   (void)Ignored;
 }
 
-uint64_t argNum(int Argc, char **Argv, int &I, const char *Flag) {
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "mpc_served: %s needs a value\n", Flag);
-    std::exit(2);
-  }
-  return std::strtoull(Argv[++I], nullptr, 10);
-}
+/// --threads starts one worker thread each.
+constexpr uint64_t MaxThreads = 256;
+constexpr uint64_t MiB = 1024 * 1024;
 
 } // namespace
 
@@ -55,45 +57,35 @@ int main(int Argc, char **Argv) {
   Cfg.Service.MaxQueueDepth = 64;
   Cfg.Service.Policy = QueuePolicy::RejectNewest;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
+  ArgReader Args("mpc_served", Argc, Argv);
+  while (Args.next()) {
+    std::string A = Args.flag();
     if (A == "--port") {
-      Cfg.Port = static_cast<uint16_t>(argNum(Argc, Argv, I, "--port"));
+      Cfg.Port = static_cast<uint16_t>(Args.integer(0, 65535));
     } else if (A == "--threads") {
-      Cfg.Service.Threads =
-          static_cast<unsigned>(argNum(Argc, Argv, I, "--threads"));
+      Cfg.Service.Threads = static_cast<unsigned>(Args.integer(0, MaxThreads));
     } else if (A == "--queue-depth") {
       Cfg.Service.MaxQueueDepth =
-          static_cast<size_t>(argNum(Argc, Argv, I, "--queue-depth"));
+          static_cast<size_t>(Args.integer(0, SIZE_MAX));
     } else if (A == "--policy") {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "mpc_served: --policy needs a value\n");
-        return 2;
-      }
-      std::string P = Argv[++I];
+      std::string P = Args.value();
       if (P == "reject")
         Cfg.Service.Policy = QueuePolicy::RejectNewest;
       else if (P == "shed")
         Cfg.Service.Policy = QueuePolicy::ShedOldest;
       else if (P == "block")
         Cfg.Service.Policy = QueuePolicy::Block;
-      else {
-        std::fprintf(stderr, "mpc_served: unknown policy '%s'\n",
-                     P.c_str());
-        return 2;
-      }
+      else
+        Args.fail("unknown policy '" + P + "'");
     } else if (A == "--max-inflight") {
       Cfg.MaxInFlightPerConn =
-          static_cast<uint32_t>(argNum(Argc, Argv, I, "--max-inflight"));
+          static_cast<uint32_t>(Args.integer(1, UINT32_MAX));
     } else if (A == "--idle-timeout-ms") {
-      Cfg.IdleTimeoutMs =
-          static_cast<int>(argNum(Argc, Argv, I, "--idle-timeout-ms"));
+      Cfg.IdleTimeoutMs = static_cast<int>(Args.integer(0, INT_MAX));
     } else if (A == "--cache-mb") {
-      Cfg.Service.Cache.MaxBytes =
-          argNum(Argc, Argv, I, "--cache-mb") * 1024 * 1024;
+      Cfg.Service.Cache.MaxBytes = Args.integer(0, SIZE_MAX / MiB) * MiB;
     } else {
-      std::fprintf(stderr, "mpc_served: unknown flag '%s'\n", A.c_str());
-      return 2;
+      Args.fail("unknown flag '" + A + "'");
     }
   }
 
